@@ -22,6 +22,10 @@ void PutRecord(ByteWriter* w, const Record& record) {
   w->PutBytes(record.payload.data(), record.payload.size());
 }
 
+void PutDigest(ByteWriter* w, const crypto::Digest& digest) {
+  w->PutBytes(digest.bytes.data(), digest.bytes.size());
+}
+
 bool GetRecord(ByteReader* r, Record* out) {
   out->id = r->GetU64();
   out->key = r->GetU32();
@@ -83,8 +87,7 @@ std::vector<uint8_t> EncodeSnapshotState(const SnapshotState& state) {
   w.PutU8(uint8_t(state.scheme));
   w.PutU32(uint32_t(state.records.size()));
   for (const Record& record : state.records) PutRecord(&w, record);
-  w.PutU32(uint32_t(state.signature.size()));
-  w.PutBytes(state.signature.data(), state.signature.size());
+  PutDigest(&w, state.digest_xor);
   return w.Release();
 }
 
@@ -111,13 +114,8 @@ Result<SnapshotState> DecodeSnapshotState(
     }
     state.records.push_back(std::move(record));
   }
-  uint32_t sig_len = r.GetU32();
-  if (r.failed() || sig_len > r.remaining()) {
-    return Status::Corruption("snapshot signature does not decode");
-  }
-  state.signature.resize(sig_len);
-  if (sig_len > 0 && !r.GetBytes(state.signature.data(), sig_len)) {
-    return Status::Corruption("snapshot signature does not decode");
+  if (!r.GetBytes(state.digest_xor.bytes.data(), crypto::Digest::kSize)) {
+    return Status::Corruption("snapshot digest does not decode");
   }
   if (r.remaining() != 0) {
     return Status::Corruption("snapshot payload has trailing bytes");
@@ -134,8 +132,7 @@ std::vector<uint8_t> EncodeDeltaState(const DeltaState& state) {
   for (const Record& record : state.upserts) PutRecord(&w, record);
   w.PutU32(uint32_t(state.removes.size()));
   for (RecordId id : state.removes) w.PutU64(id);
-  w.PutU32(uint32_t(state.signature.size()));
-  w.PutBytes(state.signature.data(), state.signature.size());
+  PutDigest(&w, state.digest_xor);
   return w.Release();
 }
 
@@ -167,13 +164,8 @@ Result<DeltaState> DecodeDeltaState(const std::vector<uint8_t>& payload) {
   }
   state.removes.reserve(removes);
   for (uint32_t i = 0; i < removes; ++i) state.removes.push_back(r.GetU64());
-  uint32_t sig_len = r.GetU32();
-  if (r.failed() || sig_len > r.remaining()) {
-    return Status::Corruption("delta signature does not decode");
-  }
-  state.signature.resize(sig_len);
-  if (sig_len > 0 && !r.GetBytes(state.signature.data(), sig_len)) {
-    return Status::Corruption("delta signature does not decode");
+  if (!r.GetBytes(state.digest_xor.bytes.data(), crypto::Digest::kSize)) {
+    return Status::Corruption("delta digest does not decode");
   }
   if (r.remaining() != 0) {
     return Status::Corruption("delta payload has trailing bytes");
@@ -209,7 +201,7 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
 
   // Compose the newest intact chain: the base full snapshot, then every
   // delta that validly links onto it. Each link's removes-then-upserts
-  // replays the net changes of its checkpoint window; the tail's signature
+  // replays the net changes of its checkpoint window; the tail's digest XOR
   // speaks for the composed state.
   auto chain = mgr->snapshots_.LoadChain();
   if (chain.ok()) {
@@ -221,7 +213,7 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
       by_id[id] = std::move(record);
     }
     uint64_t tail_epoch = chain.value().base_epoch;
-    std::vector<uint8_t> signature = std::move(base.signature);
+    crypto::Digest digest_xor = base.digest_xor;
     for (storage::SnapshotStore::ChainLink& link : chain.value().deltas) {
       SAE_ASSIGN_OR_RETURN(DeltaState delta, DecodeDeltaState(link.payload));
       if (delta.model != base.model ||
@@ -235,7 +227,7 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
         RecordId id = record.id;
         by_id[id] = std::move(record);
       }
-      signature = std::move(delta.signature);
+      digest_xor = delta.digest_xor;
       tail_epoch = link.epoch;
     }
     SnapshotState composed;
@@ -243,7 +235,7 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
     composed.record_size = base.record_size;
     composed.scheme = base.scheme;
     composed.records = SortedByKey(std::move(by_id));
-    composed.signature = std::move(signature);
+    composed.digest_xor = digest_xor;
     mgr->recovered_.has_snapshot = true;
     mgr->recovered_.snapshot_epoch = tail_epoch;
     mgr->recovered_.snapshot_fell_back = chain.value().fell_back;
@@ -319,11 +311,6 @@ Result<uint64_t> DurabilityManager::StageUpdate(const WalUpdate& update) {
   SAE_ASSIGN_OR_RETURN(uint64_t seq, wal_->Stage(EncodeWalUpdate(update)));
   std::lock_guard<std::mutex> lock(state_mu_);
   RecordId id = update.op == WalUpdate::kInsert ? update.record.id : update.id;
-  auto it = pending_.find(id);
-  last_staged_id_ = id;
-  last_staged_had_prev_ = it != pending_.end();
-  if (last_staged_had_prev_) last_staged_prev_ = it->second;
-  undo_armed_ = true;
   PendingChange change;
   change.present = update.op == WalUpdate::kInsert;
   if (change.present) change.record = update.record;
@@ -332,29 +319,7 @@ Result<uint64_t> DurabilityManager::StageUpdate(const WalUpdate& update) {
 }
 
 Status DurabilityManager::CommitStaged(uint64_t seq) {
-  return wal_->Commit(
-      seq, options_.wal_group_commit ? options_.max_group_delay_us : 0);
-}
-
-Status DurabilityManager::LogUpdate(const WalUpdate& update) {
-  SAE_ASSIGN_OR_RETURN(uint64_t seq, StageUpdate(update));
-  return wal_->Commit(seq, 0);
-}
-
-Status DurabilityManager::UndoFailedUpdate() {
-  SAE_RETURN_NOT_OK(wal_->UndoLastStaged());
-  std::lock_guard<std::mutex> lock(state_mu_);
-  if (!undo_armed_) return Status::OK();
-  // The retracted update's net change must not leak into the next delta
-  // checkpoint, and (having never applied) it must not advance the
-  // cadence either — ShouldSnapshot only counts applied updates.
-  if (last_staged_had_prev_) {
-    pending_[last_staged_id_] = last_staged_prev_;
-  } else {
-    pending_.erase(last_staged_id_);
-  }
-  undo_armed_ = false;
-  return Status::OK();
+  return wal_->Commit(seq);
 }
 
 Status DurabilityManager::RetractStagedFrom(uint64_t first_epoch) {
@@ -362,17 +327,15 @@ Status DurabilityManager::RetractStagedFrom(uint64_t first_epoch) {
   abort.op = WalUpdate::kAbort;
   abort.epoch = first_epoch;
   SAE_ASSIGN_OR_RETURN(uint64_t seq, wal_->Stage(EncodeWalUpdate(abort)));
-  // Sync immediately (no group delay): the retraction must be durable
-  // before the caller acknowledges the failure, or a crash in between
-  // would resurrect the suffix the caller just reported as failed.
-  SAE_RETURN_NOT_OK(wal_->Commit(seq, 0));
+  // The retraction must be durable before the caller acknowledges the
+  // failure, or a crash in between would resurrect the suffix the caller
+  // just reported as failed.
+  SAE_RETURN_NOT_OK(wal_->Commit(seq));
   std::lock_guard<std::mutex> lock(state_mu_);
-  // The pending-change set has one level of undo; a retracted multi-record
-  // suffix cannot be selectively unwound from it. Drop it wholesale and
-  // force the next checkpoint FULL, so no delta claims to account for
-  // changes the map no longer carries.
+  // A retracted suffix cannot be selectively unwound from the net-change
+  // map. Drop it wholesale and force the next checkpoint FULL, so no delta
+  // claims to account for changes the map no longer carries.
   pending_.clear();
-  undo_armed_ = false;
   pending_incomplete_ = true;
   return Status::OK();
 }
@@ -384,7 +347,6 @@ bool DurabilityManager::ShouldSnapshot() {
 }
 
 bool DurabilityManager::NextCheckpointIsFull() const {
-  if (!options_.delta_snapshots) return true;
   if (options_.full_snapshot_every <= 1) return true;
   // A failed checkpoint write broke the on-disk chain: only a full
   // snapshot can re-cover the retained WAL windows and resume segment GC.
@@ -394,7 +356,7 @@ bool DurabilityManager::NextCheckpointIsFull() const {
   return chain_length_ + 1 >= options_.full_snapshot_every;
 }
 
-Status DurabilityManager::CaptureLocked(CheckpointJob job, bool force_sync) {
+Status DurabilityManager::CaptureLocked(CheckpointJob job, bool sync) {
   // Seal the WAL at the capture point: everything logged so far is covered
   // by this checkpoint, everything after it belongs to the next window.
   // The sealed segments stay on disk until the checkpoint is DURABLE — a
@@ -405,7 +367,6 @@ Status DurabilityManager::CaptureLocked(CheckpointJob job, bool force_sync) {
     std::lock_guard<std::mutex> lock(state_mu_);
     pending_.clear();
     updates_since_checkpoint_ = 0;
-    undo_armed_ = false;
     have_chain_ = true;
     chain_tail_epoch_ = job.epoch;
     chain_length_ = job.full ? 0 : chain_length_ + 1;
@@ -413,20 +374,19 @@ Status DurabilityManager::CaptureLocked(CheckpointJob job, bool force_sync) {
     // retraction no longer owes anything to the next delta.
     if (job.full) pending_incomplete_ = false;
   }
-  if (options_.background_checkpoint && !force_sync) {
-    std::lock_guard<std::mutex> lock(ckpt_mu_);
-    if (!ckpt_thread_started_) {
-      ckpt_thread_started_ = true;
-      ckpt_thread_ = std::thread([this] { CheckpointThreadMain(); });
-    }
-    ckpt_queue_.push_back(std::move(job));
-    ckpt_cv_.notify_all();
-    return Status::OK();
+  if (sync) return RunCheckpointJob(job);
+  std::lock_guard<std::mutex> lock(ckpt_mu_);
+  if (!ckpt_thread_started_) {
+    ckpt_thread_started_ = true;
+    ckpt_thread_ = std::thread([this] { CheckpointThreadMain(); });
   }
-  return RunCheckpointJob(job);
+  ckpt_queue_.push_back(std::move(job));
+  ckpt_cv_.notify_all();
+  return Status::OK();
 }
 
-Status DurabilityManager::CheckpointFull(uint64_t epoch, SnapshotState state) {
+Status DurabilityManager::CaptureFull(uint64_t epoch, SnapshotState state,
+                                       bool sync) {
   {
     std::lock_guard<std::mutex> lock(state_mu_);
     meta_model_ = state.model;
@@ -437,11 +397,19 @@ Status DurabilityManager::CheckpointFull(uint64_t epoch, SnapshotState state) {
   job.full = true;
   job.epoch = epoch;
   job.full_state = std::move(state);
-  return CaptureLocked(std::move(job), /*force_sync=*/false);
+  return CaptureLocked(std::move(job), sync);
+}
+
+Status DurabilityManager::CheckpointFull(uint64_t epoch, SnapshotState state) {
+  return CaptureFull(epoch, std::move(state), /*sync=*/false);
+}
+
+Status DurabilityManager::WriteSnapshot(uint64_t epoch, SnapshotState state) {
+  return CaptureFull(epoch, std::move(state), /*sync=*/true);
 }
 
 Status DurabilityManager::CheckpointDelta(uint64_t epoch,
-                                          std::vector<uint8_t> signature) {
+                                          const crypto::Digest& digest_xor) {
   CheckpointJob job;
   job.full = false;
   job.epoch = epoch;
@@ -460,23 +428,8 @@ Status DurabilityManager::CheckpointDelta(uint64_t epoch,
     }
     job.base_epoch = chain_tail_epoch_;
   }
-  delta.signature = std::move(signature);
-  return CaptureLocked(std::move(job), /*force_sync=*/false);
-}
-
-Status DurabilityManager::WriteSnapshot(uint64_t epoch,
-                                        const SnapshotState& state) {
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    meta_model_ = state.model;
-    meta_record_size_ = state.record_size;
-    meta_scheme_ = state.scheme;
-  }
-  CheckpointJob job;
-  job.full = true;
-  job.epoch = epoch;
-  job.full_state = state;
-  return CaptureLocked(std::move(job), /*force_sync=*/true);
+  delta.digest_xor = digest_xor;
+  return CaptureLocked(std::move(job), /*sync=*/false);
 }
 
 Status DurabilityManager::RunCheckpointJob(const CheckpointJob& job) {

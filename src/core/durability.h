@@ -6,42 +6,42 @@
 // `wal-<seq>` segments, `snap-<epoch>` full snapshots and
 // `delta-<base>-<epoch>` chain links; storage/wal.h + storage/snapshot.h).
 //
-// Write-ahead contract: RunUpdate validates the op against the owner,
-// stages the WAL record — stamped with the POST-update epoch — and the
-// record is synced durable (CommitStaged; with group commit enabled, one
-// fsync covers every concurrently staged record) before the in-memory
+// Write-ahead contract: the update pipeline (core/update_pipeline.h)
+// validates the op against the owner, stages the WAL record — stamped with
+// the POST-update epoch — and the record is synced durable (CommitStaged;
+// one fsync covers every concurrently staged record) before the in-memory
 // authentication state mutates. An update whose record reached the disk is
 // recoverable; one whose record did not never happened.
 //
 // Checkpoints run every `snapshot_interval` updates so the WAL (and
-// recovery replay) stays short. With delta snapshots on, the steady-state
-// checkpoint persists only the records inserted/deleted since the previous
-// checkpoint — O(changes), not O(state) — chained onto it by epoch; every
-// `full_snapshot_every`-th checkpoint compacts the chain into a fresh full
-// snapshot, which also garbage-collects chains beyond the newest
-// `keep_snapshots`. With background checkpointing on, the write path only
-// CAPTURES the (small) pending-change set under the writer lock; one
-// checkpoint thread serializes and writes it, so queries and updates never
-// stall behind checkpoint I/O. The WAL rotates to a fresh segment at each
-// capture, and the sealed segments are dropped only after the checkpoint
-// they feed is durable — a crash mid-checkpoint recovers from the previous
-// chain plus the retained segments, losing nothing. A FAILED checkpoint
-// write gates segment GC entirely: later delta captures are skipped (their
-// base never reached the disk) and the next checkpoint is forced FULL;
-// only once that full snapshot is durable — re-covering every retained
-// window — does GC resume. Segments are thus only ever dropped under a
-// durable checkpoint that covers them.
+// recovery replay) stays short. A steady-state checkpoint persists only the
+// records inserted/deleted since the previous checkpoint — O(changes), not
+// O(state) — chained onto it by epoch; every `full_snapshot_every`-th
+// checkpoint compacts the chain into a fresh full snapshot, which also
+// garbage-collects chains beyond the newest `keep_snapshots`. The write
+// path only CAPTURES the (small) pending-change set under the writer lock;
+// one checkpoint thread serializes and writes it, so queries and updates
+// never stall behind checkpoint I/O. The WAL rotates to a fresh segment at
+// each capture, and the sealed segments are dropped only after the
+// checkpoint they feed is durable — a crash mid-checkpoint recovers from
+// the previous chain plus the retained segments, losing nothing. A FAILED
+// checkpoint write gates segment GC entirely: later delta captures are
+// skipped (their base never reached the disk) and the next checkpoint is
+// forced FULL; only once that full snapshot is durable — re-covering every
+// retained window — does GC resume. Segments are thus only ever dropped
+// under a durable checkpoint that covers them.
 //
-// Recovery (SaeSystem::Recover / TomSystem::Recover) inverts this: load
-// the newest intact chain (full snapshot composed with every validly
-// linked delta — never past a corrupt link), replay the WAL records that
-// chain epoch-contiguously out of the composed state through the normal
-// owner paths, truncate whatever does not (garbage, or records orphaned by
-// a chain fallback), and republish. The recovered epoch is provable — TOM
-// re-signs and cross-checks the persisted root signature — and clients
-// verify it as live traffic; a rollback to an older durable state yields
-// an older epoch that the unmodified client freshness gate rejects as
-// kStaleEpoch.
+// Every full snapshot and delta link also persists the XOR of the record
+// digests of the state it describes. Recovery (UpdatePipeline::Recover)
+// inverts the write path: load the newest intact chain (full snapshot
+// composed with every validly linked delta — never past a corrupt link),
+// rebuild the parties from it and check that their digest XOR equals the
+// persisted one, replay the WAL records that chain epoch-contiguously out
+// of the composed state through the normal owner paths, truncate whatever
+// does not (garbage, or records orphaned by a chain fallback), and
+// republish. Clients verify the recovered epoch as live traffic; a rollback
+// to an older durable state yields an older epoch that the unmodified
+// client freshness gate rejects as kStaleEpoch.
 
 #ifndef SAE_CORE_DURABILITY_H_
 #define SAE_CORE_DURABILITY_H_
@@ -86,24 +86,10 @@ struct DurabilityOptions {
   /// Full-snapshot chains kept by GC; >= 2 keeps a whole fallback chain
   /// behind a corrupt newest.
   size_t keep_snapshots = 2;
-  /// Steady-state checkpoints persist only the changes since the previous
-  /// checkpoint (O(changes)); false restores the PR 9 full-state behavior.
-  bool delta_snapshots = true;
   /// Every Nth checkpoint is a full snapshot compacting the chain (and
-  /// bounding recovery to at most N-1 delta loads). 0 or 1 = always full.
+  /// bounding recovery to at most N-1 delta loads); the others are delta
+  /// links. 0 or 1 = always full.
   uint64_t full_snapshot_every = 8;
-  /// Split LogUpdate into stage (under the writer lock) and sync (outside
-  /// it): concurrent committers share one fsync. false = sync per record
-  /// under the lock, as in PR 9.
-  bool wal_group_commit = true;
-  /// With group commit, how long a group leader waits for stragglers to
-  /// stage before issuing the shared fsync. 0 = sync immediately (groups
-  /// still form out of natural concurrency).
-  uint32_t max_group_delay_us = 0;
-  /// Serialize + write checkpoints on a dedicated thread; the write path
-  /// only captures the pending-change set. false = checkpoint inline under
-  /// the writer lock.
-  bool background_checkpoint = true;
 };
 
 /// One logged update, WAL payload <-> in-memory form. `epoch` is the epoch
@@ -123,15 +109,15 @@ std::vector<uint8_t> EncodeWalUpdate(const WalUpdate& update);
 Result<WalUpdate> DecodeWalUpdate(const std::vector<uint8_t>& payload);
 
 /// The checkpointed system state a FULL snapshot payload carries. Records
-/// are the full dataset in key order; TOM also persists the epoch-stamped
-/// root signature, which recovery cross-checks against a fresh re-signing.
+/// are the full dataset in key order; `digest_xor` is the XOR of their
+/// digests, which recovery checks against the rebuilt parties.
 struct SnapshotState {
   enum Model : uint8_t { kSae = 1, kTom = 2 };
   uint8_t model = kSae;
   uint32_t record_size = 0;
   crypto::HashScheme scheme = crypto::HashScheme::kSha1;
   std::vector<Record> records;
-  std::vector<uint8_t> signature;  // TOM root signature; empty for SAE
+  crypto::Digest digest_xor;
 };
 
 std::vector<uint8_t> EncodeSnapshotState(const SnapshotState& state);
@@ -140,15 +126,15 @@ Result<SnapshotState> DecodeSnapshotState(const std::vector<uint8_t>& payload);
 /// What one DELTA snapshot payload carries: the net changes between its
 /// base checkpoint and its own epoch. Applying `removes` then `upserts` to
 /// the base state yields the state at `epoch` — a delete+reinsert of the
-/// same id collapses into the upsert. TOM deltas carry the root signature
-/// AT this delta's epoch, so a composed chain is still byte-provable.
+/// same id collapses into the upsert. `digest_xor` describes the state AT
+/// this delta's epoch, so a composed chain is checked like a full one.
 struct DeltaState {
   uint8_t model = SnapshotState::kSae;
   uint32_t record_size = 0;
   crypto::HashScheme scheme = crypto::HashScheme::kSha1;
   std::vector<Record> upserts;     // present after this delta, id-ascending
   std::vector<RecordId> removes;   // absent after this delta, ascending
-  std::vector<uint8_t> signature;  // TOM root signature; empty for SAE
+  crypto::Digest digest_xor;
 };
 
 std::vector<uint8_t> EncodeDeltaState(const DeltaState& state);
@@ -177,8 +163,9 @@ struct DurabilityStats {
 /// the pending-change set feeding delta checkpoints, the checkpoint thread
 /// and the cadence counter. Opened at Load (fresh directory) or at Recover
 /// (existing directory — `recovered()` then exposes what the disk held).
-/// Stage/undo/checkpoint-capture calls are made under the owning system's
-/// writer lock; CommitStaged and WaitForCheckpoints are called outside it.
+/// Stage/retract/checkpoint-capture calls are made under the owning
+/// system's writer lock; CommitStaged and WaitForCheckpoints are called
+/// outside it.
 class DurabilityManager {
  public:
   /// What recovery found on disk: the newest intact chain composed into
@@ -215,21 +202,10 @@ class DurabilityManager {
   Result<uint64_t> StageUpdate(const WalUpdate& update);
 
   /// Makes every record staged up to `seq` durable — the durability commit
-  /// point: returns OK iff the update is recoverable. With group commit,
-  /// one leader's fsync covers the whole concurrent group; call WITHOUT
-  /// the writer lock so groups can form. Without group commit this is a
-  /// plain per-record fsync.
+  /// point: returns OK iff the update is recoverable. One leader's fsync
+  /// covers the whole concurrent group; call WITHOUT the writer lock so
+  /// groups can form.
   Status CommitStaged(uint64_t seq);
-
-  /// Stage + commit inline (one sync point) — the non-group write path,
-  /// byte- and barrier-identical to PR 9's LogUpdate.
-  Status LogUpdate(const WalUpdate& update);
-
-  /// Rolls the WAL and the pending-change set back over the last
-  /// StageUpdate/LogUpdate after the in-memory apply failed, so neither
-  /// the log nor the next delta claims an update that did not happen.
-  /// Caller holds the writer lock.
-  Status UndoFailedUpdate();
 
   /// Durably retracts every logged-but-unpublished record with epoch >=
   /// `first_epoch` by appending and syncing a kAbort marker. Once this
@@ -246,8 +222,8 @@ class DurabilityManager {
   /// cadence only ever reflects updates that really happened.
   bool ShouldSnapshot();
 
-  /// True when the next checkpoint must persist full state: delta
-  /// snapshots disabled, no chain yet, the compaction cadence
+  /// True when the next checkpoint must persist full state: no chain yet,
+  /// the compaction cadence
   /// (`full_snapshot_every`) is reached, a checkpoint write failed (the
   /// on-disk chain is broken; a full re-covers it and resumes WAL GC), or
   /// a retraction dropped the pending-change set.
@@ -255,7 +231,7 @@ class DurabilityManager {
 
   /// Captures a FULL checkpoint of `state` at `epoch`: rotates the WAL
   /// (sealing the segments this checkpoint makes redundant) and hands the
-  /// state to the checkpoint thread (or writes it inline). Resets the
+  /// state to the checkpoint thread. Resets the
   /// pending-change set, the chain, and the cadence counter. Caller holds
   /// the writer lock at a quiescent point (nothing staged-but-unapplied).
   Status CheckpointFull(uint64_t epoch, SnapshotState state);
@@ -263,12 +239,12 @@ class DurabilityManager {
   /// Captures a DELTA checkpoint at `epoch` from the pending-change set
   /// accumulated since the previous capture (O(changes) under the lock),
   /// chained onto that capture's epoch. Same quiescence requirement.
-  Status CheckpointDelta(uint64_t epoch, std::vector<uint8_t> signature);
+  Status CheckpointDelta(uint64_t epoch, const crypto::Digest& digest_xor);
 
-  /// Synchronous full checkpoint — runs inline even with background
-  /// checkpointing on. Load uses this for the epoch-1 baseline, so "Load
+  /// Synchronous full checkpoint, written inline rather than on the
+  /// checkpoint thread. Load uses this for the epoch-1 baseline, so "Load
   /// returned" implies "recoverable from disk".
-  Status WriteSnapshot(uint64_t epoch, const SnapshotState& state);
+  Status WriteSnapshot(uint64_t epoch, SnapshotState state);
 
   /// Blocks until every captured checkpoint is durable (or failed);
   /// returns the first failure since the last wait. Call without the
@@ -277,7 +253,6 @@ class DurabilityManager {
 
   uint64_t wal_bytes() const { return wal_->size_bytes(); }
   DurabilityStats stats() const;
-  const DurabilityOptions& options() const { return options_; }
 
  private:
   DurabilityManager(const DurabilityOptions& options, storage::Vfs* vfs);
@@ -300,9 +275,12 @@ class DurabilityManager {
   };
 
   /// Rotation + bookkeeping shared by both capture flavors; the caller
-  /// fills the payload side of `job`. `force_sync` writes inline even with
-  /// background checkpointing on (the Load baseline).
-  Status CaptureLocked(CheckpointJob job, bool force_sync);
+  /// fills the payload side of `job`. `sync` writes inline instead of on
+  /// the checkpoint thread (the Load baseline).
+  Status CaptureLocked(CheckpointJob job, bool sync);
+  /// A full capture of `state`, which also sets the header fields later
+  /// deltas inherit.
+  Status CaptureFull(uint64_t epoch, SnapshotState state, bool sync);
   /// Serializes and writes one captured checkpoint; drops the WAL
   /// segments it made redundant once it is durable. While the chain is
   /// broken (an earlier checkpoint write failed) delta jobs are SKIPPED —
@@ -330,11 +308,6 @@ class DurabilityManager {
   uint8_t meta_model_ = SnapshotState::kSae;
   uint32_t meta_record_size_ = 0;
   crypto::HashScheme meta_scheme_ = crypto::HashScheme::kSha1;
-  // Undo info for the last staged update (one level deep, like the WAL's).
-  RecordId last_staged_id_ = 0;
-  bool last_staged_had_prev_ = false;
-  PendingChange last_staged_prev_;
-  bool undo_armed_ = false;
   // Set by RetractStagedFrom (the pending set was dropped wholesale, so a
   // delta could no longer account for every change since the last
   // capture); forces the next checkpoint full, cleared by a full capture.

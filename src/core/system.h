@@ -8,24 +8,20 @@
 // epoch-versioned updates — concurrently, from any number of threads —
 // optionally under an attacking SP, and read back per-party costs.
 //
-// Concurrency discipline (reader-writer + epoch snapshot): each system owns
-// a std::shared_mutex. ExecuteQuery holds it shared for the whole query
-// (SP execution, TE token / VO, client verification), so a query observes
-// one frozen epoch end to end; Insert/Delete hold it unique, bump the DO's
-// epoch, and re-publish the authentication state. Queries and updates may
-// therefore interleave freely on the same system — no exclusive-access
-// phase is required.
+// Updates, durability and recovery run through the shared UpdatePipeline
+// (core/update_pipeline.h); each system supplies only its UpdatePolicy —
+// how an update reaches its parties and refreshes authentication (SAE: an
+// epoch notice to SP and TE; TOM: a re-signed MB-tree root). ExecuteQuery
+// holds the pipeline's lock shared for the whole query (SP execution, TE
+// token / VO, client verification), so a query observes one frozen epoch
+// end to end; queries and updates interleave freely on the same system.
 
 #ifndef SAE_CORE_SYSTEM_H_
 #define SAE_CORE_SYSTEM_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/client.h"
@@ -37,6 +33,7 @@
 #include "core/service_provider.h"
 #include "core/tom.h"
 #include "core/trusted_entity.h"
+#include "core/update_pipeline.h"
 #include "sim/channel.h"
 #include "util/status.h"
 
@@ -62,19 +59,6 @@ inline QueryCosts& operator+=(QueryCosts& a, const QueryCosts& b) {
   a.client_verify_ms += b.client_verify_ms;
   return a;
 }
-
-/// Aggregate cost of the update pipeline (DO -> parties), accumulated per
-/// system across all Insert/Delete calls. `shipment_bytes` is the record /
-/// deletion-notice traffic; `auth_bytes` is the epoch-notice (SAE) or
-/// root-signature (TOM) traffic riding along with it.
-struct UpdateStats {
-  uint64_t inserts = 0;
-  uint64_t deletes = 0;
-  uint64_t failed = 0;          ///< rejected updates (duplicate id, ...)
-  size_t shipment_bytes = 0;
-  size_t auth_bytes = 0;
-  double latency_ms = 0.0;      ///< summed wall time in the writer section
-};
 
 struct SaeSystemOptions {
   size_t record_size = storage::kDefaultRecordSize;
@@ -115,7 +99,7 @@ struct SaeCacheStats {
 };
 
 /// SAE: DO + conventional SP + TE + verifying client.
-class SaeSystem {
+class SaeSystem : private UpdatePolicy {
  public:
   using Options = SaeSystemOptions;
 
@@ -124,14 +108,14 @@ class SaeSystem {
   /// Installs and outsources the dataset (DO -> SP, DO -> TE), publishing
   /// epoch 1. With durability enabled, also opens the WAL and writes the
   /// epoch-1 baseline snapshot before returning.
-  Status Load(const std::vector<Record>& records);
+  Status Load(const std::vector<Record>& records) {
+    return pipeline_.Load(records);
+  }
 
-  /// Rebuilds a system from its durability directory after a crash: loads
-  /// the newest valid snapshot, replays the WAL tail past the snapshot
-  /// epoch through the normal owner paths, truncates any garbage, and
-  /// republishes the recovered epoch. kNotFound when no valid snapshot
-  /// exists (the crash predates the first durable checkpoint);
-  /// kCorruption when the WAL contradicts the snapshot.
+  /// Rebuilds a system from its durability directory after a crash (see
+  /// UpdatePipeline::Recover). kNotFound when no valid snapshot exists (the
+  /// crash predates the first durable checkpoint); kCorruption when the
+  /// disk contradicts itself or `options`.
   static Result<std::unique_ptr<SaeSystem>> Recover(const Options& options);
 
   struct QueryOutcome {
@@ -177,20 +161,22 @@ class SaeSystem {
   /// other updates. The Versioned variants return the epoch the update
   /// published — the serialization point of the update, which the
   /// interleaved stress suite replays against a serial oracle.
-  Result<uint64_t> InsertVersioned(const Record& record);
-  Result<uint64_t> DeleteVersioned(RecordId id);
+  Result<uint64_t> InsertVersioned(const Record& record) {
+    return pipeline_.Insert(record);
+  }
+  Result<uint64_t> DeleteVersioned(RecordId id) {
+    return pipeline_.Delete(id);
+  }
   Status Insert(const Record& record) {
     return InsertVersioned(record).status();
   }
   Status Delete(RecordId id) { return DeleteVersioned(id).status(); }
 
   /// Latest published epoch (the client's freshness reference).
-  uint64_t epoch() const {
-    return published_epoch_.load(std::memory_order_acquire);
-  }
+  uint64_t epoch() const { return pipeline_.epoch(); }
 
   /// Accumulated update-pipeline costs (snapshot by value).
-  UpdateStats update_stats() const;
+  UpdateStats update_stats() const { return pipeline_.stats(); }
 
   /// Cache counters across all three verified-path caches.
   SaeCacheStats cache_stats() const {
@@ -209,47 +195,43 @@ class SaeSystem {
   const RecordCodec& codec() const { return owner_.codec(); }
 
   /// Attached durability manager; nullptr when durability is off.
-  DurabilityManager* durability() { return durability_.get(); }
+  DurabilityManager* durability() { return pipeline_.durability(); }
 
   /// Durability counters (zeroed struct when durability is off).
   DurabilityStats durability_stats() const {
-    return durability_ != nullptr ? durability_->stats() : DurabilityStats{};
+    return pipeline_.durability_stats();
   }
 
   /// Blocks until every captured checkpoint is durable; returns the first
   /// checkpoint failure since the last wait. Call without holding a query
   /// open on this thread.
-  Status WaitForCheckpoints() {
-    return durability_ != nullptr ? durability_->WaitForCheckpoints()
-                                  : Status::OK();
-  }
+  Status WaitForCheckpoints() { return pipeline_.WaitForCheckpoints(); }
 
  private:
-  /// Snapshots the pre-update SP state the first time a writer runs, so
-  /// kReplayStaleRoot has a genuine stale database to answer from.
-  void CaptureStaleSnapshotLocked();
+  // UpdatePolicy: updates travel DO -> SP and DO -> TE with an epoch
+  // notice; the TE's XB-tree root holds the digest XOR. Recovery
+  // re-outsources to the parties, so its WAL replay is metered like any
+  // update.
+  uint64_t OwnerEpoch() const override { return owner_.epoch(); }
+  bool HasRecord(RecordId id) const override { return owner_.HasRecord(id); }
+  Status Outsource(const std::vector<Record>& records) override;
+  Status Restore(const std::vector<Record>& records, uint64_t epoch) override;
+  Result<size_t> ApplyInsert(const Record& record, bool replay) override;
+  Result<size_t> ApplyDelete(RecordId id, bool replay) override;
+  uint64_t ShippedBytes() const override {
+    return do_sp_.total_bytes() + do_te_.total_bytes();
+  }
+  Result<std::vector<Record>> CaptureRecords() const override {
+    return owner_.SortedDataset();
+  }
+  Result<crypto::Digest> DigestXor() const override;
+  /// Snapshots the pre-update SP state, so kReplayStaleRoot has a genuine
+  /// stale database to answer from.
+  void BeforeFirstUpdate() override;
+
   /// Lazily materializes the stale SP from the captured records (readers
   /// race through std::call_once). nullptr when no snapshot exists yet.
   const ServiceProvider* StaleSp();
-
-  /// The write-ahead update pipeline: validate against the master copy,
-  /// log durable (when durability is on), then apply in memory. With group
-  /// commit the durable step runs OUTSIDE the writer lock (one fsync per
-  /// concurrent group); applies are sequenced back into epoch order.
-  template <typename Validate, typename Fn>
-  Result<uint64_t> RunUpdate(uint64_t* op_counter, WalUpdate wal_update,
-                             Validate&& validate, Fn&& apply);
-  /// Record presence as the update being validated will observe it: the
-  /// owner state plus every staged-but-not-yet-applied change (group
-  /// commit stages ahead of applying). Caller holds the unique lock.
-  bool EffectiveHasRecord(RecordId id) const;
-  /// Load body shared with Recover (caller holds the unique lock).
-  Status LoadLocked(const std::vector<Record>& records);
-  /// Synchronous full checkpoint — the Load baseline (unique lock held).
-  Status WriteSnapshotLocked();
-  /// Cadence checkpoint: full or delta per the compaction schedule (unique
-  /// lock held at a quiescent point).
-  Status CheckpointLocked();
 
   Options options_;
   DataOwner owner_;
@@ -263,14 +245,6 @@ class SaeSystem {
   sim::Channel te_client_{"TE->Client"};
   std::atomic<uint64_t> attack_seed_{0xBADC0DE};
 
-  // Reader-writer coordination: queries shared, updates unique.
-  mutable std::shared_mutex rw_mu_;
-  // Mirror of owner_.epoch() readable without any lock (benches, stats).
-  std::atomic<uint64_t> published_epoch_{0};
-
-  // Update accounting, written under the unique lock.
-  UpdateStats update_stats_;
-
   // Pre-update snapshot for the replay adversary.
   bool stale_captured_ = false;          // written under unique lock
   uint64_t stale_epoch_ = 0;
@@ -278,27 +252,9 @@ class SaeSystem {
   std::once_flag stale_build_once_;
   std::unique_ptr<ServiceProvider> stale_sp_;
 
-  // Group-commit pipeline state, written under the unique lock. An update
-  // stages at epoch staged_epoch_+1, commits durable outside the lock,
-  // then waits on apply_cv_ for its turn to apply (owner epoch order). A
-  // synced record therefore still precedes every in-memory apply it
-  // covers. staged_presence_ lets validation see staged-but-unapplied
-  // changes. When a group fsync or a mid-pipeline apply fails, the
-  // unpublishable staged suffix is durably RETRACTED (a WAL kAbort marker)
-  // and wal_generation_ bumps: waiters from the old generation fail
-  // without applying, and the pipeline re-arms for new updates. Only if
-  // the retraction itself cannot be made durable does wal_dead_ set — the
-  // suffix's post-crash outcome is then unknown, so the process fails
-  // stop (every later update is refused until restart).
-  uint64_t staged_epoch_ = 0;
-  uint64_t wal_generation_ = 0;
-  std::unordered_map<RecordId, std::pair<bool, uint64_t>> staged_presence_;
-  std::condition_variable_any apply_cv_;
-  bool wal_dead_ = false;
-
-  // Crash safety (nullptr when options_.durability.enabled is false);
-  // written under the unique lock.
-  std::unique_ptr<DurabilityManager> durability_;
+  // Last: destroyed first, joining the checkpoint thread before the
+  // parties it snapshots go away.
+  UpdatePipeline pipeline_;
 };
 
 struct TomSystemOptions {
@@ -341,7 +297,7 @@ struct TomCacheStats {
 };
 
 /// TOM: ADS-building DO + ADS-mirroring SP + VO-verifying client.
-class TomSystem {
+class TomSystem : private UpdatePolicy {
  public:
   using Options = TomSystemOptions;
 
@@ -349,12 +305,13 @@ class TomSystem {
 
   /// With durability enabled, also opens the WAL and writes the epoch-1
   /// baseline snapshot before returning.
-  Status Load(const std::vector<Record>& records);
+  Status Load(const std::vector<Record>& records) {
+    return pipeline_.Load(records);
+  }
 
   /// Rebuilds a system from its durability directory after a crash (see
-  /// SaeSystem::Recover). Additionally proves the recovered ADS equals the
-  /// checkpointed one: the owner re-signs the recovered root at the
-  /// snapshot epoch and the signature must byte-match the persisted one.
+  /// SaeSystem::Recover); the owner re-signs the recovered root at the
+  /// snapshot epoch.
   static Result<std::unique_ptr<TomSystem>> Recover(const Options& options);
 
   struct QueryOutcome {
@@ -387,18 +344,20 @@ class TomSystem {
 
   /// Updates flow DO -> SP together with a fresh epoch-stamped root
   /// signature, under the writer lock; safe to interleave with queries.
-  Result<uint64_t> InsertVersioned(const Record& record);
-  Result<uint64_t> DeleteVersioned(RecordId id);
+  Result<uint64_t> InsertVersioned(const Record& record) {
+    return pipeline_.Insert(record);
+  }
+  Result<uint64_t> DeleteVersioned(RecordId id) {
+    return pipeline_.Delete(id);
+  }
   Status Insert(const Record& record) {
     return InsertVersioned(record).status();
   }
   Status Delete(RecordId id) { return DeleteVersioned(id).status(); }
 
-  uint64_t epoch() const {
-    return published_epoch_.load(std::memory_order_acquire);
-  }
+  uint64_t epoch() const { return pipeline_.epoch(); }
 
-  UpdateStats update_stats() const;
+  UpdateStats update_stats() const { return pipeline_.stats(); }
 
   /// Cache counters across the SP answer cache and both ADS node caches.
   TomCacheStats cache_stats() const {
@@ -415,38 +374,43 @@ class TomSystem {
   const RecordCodec& codec() const { return codec_; }
 
   /// Attached durability manager; nullptr when durability is off.
-  DurabilityManager* durability() { return durability_.get(); }
+  DurabilityManager* durability() { return pipeline_.durability(); }
 
   /// Durability counters (zeroed struct when durability is off).
   DurabilityStats durability_stats() const {
-    return durability_ != nullptr ? durability_->stats() : DurabilityStats{};
+    return pipeline_.durability_stats();
   }
 
   /// Blocks until every captured checkpoint is durable; returns the first
   /// checkpoint failure since the last wait.
-  Status WaitForCheckpoints() {
-    return durability_ != nullptr ? durability_->WaitForCheckpoints()
-                                  : Status::OK();
-  }
+  Status WaitForCheckpoints() { return pipeline_.WaitForCheckpoints(); }
 
  private:
-  void CaptureStaleSnapshotLocked();
-  const TomServiceProvider* StaleSp();
+  // UpdatePolicy: updates travel DO -> SP with a re-signed root; the
+  // owner keeps the digest XOR. Recovery, WAL replay included, reads local
+  // disk and ships nothing.
+  uint64_t OwnerEpoch() const override { return owner_.epoch(); }
+  bool HasRecord(RecordId id) const override { return owner_.HasRecord(id); }
+  Status Outsource(const std::vector<Record>& records) override {
+    return LoadRecords(records, /*ship=*/true);
+  }
+  Status Restore(const std::vector<Record>& records, uint64_t epoch) override;
+  Result<size_t> ApplyInsert(const Record& record, bool replay) override;
+  Result<size_t> ApplyDelete(RecordId id, bool replay) override;
+  uint64_t ShippedBytes() const override { return do_sp_.total_bytes(); }
+  Result<std::vector<Record>> CaptureRecords() const override;
+  Result<crypto::Digest> DigestXor() const override {
+    return owner_.digest_xor();
+  }
+  void BeforeFirstUpdate() override;
 
-  /// Write-ahead update pipeline (see SaeSystem::RunUpdate); `apply` takes
-  /// the auth-bytes out-param.
-  template <typename Validate, typename Fn>
-  Result<uint64_t> RunUpdate(uint64_t* op_counter, WalUpdate wal_update,
-                             Validate&& validate, Fn&& apply);
-  /// See SaeSystem::EffectiveHasRecord.
-  bool EffectiveHasRecord(RecordId id) const;
-  /// Load body shared with Recover; `ship` meters the DO->SP channel
+  const TomServiceProvider* StaleSp();
+  /// Loads the dataset into owner and SP; `ship` meters the DO->SP channel
   /// (recovery reads local disk, nothing crosses the network).
-  Status LoadLocked(const std::vector<Record>& records, bool ship);
-  /// Synchronous full checkpoint — the Load baseline (unique lock held).
-  Status WriteSnapshotLocked();
-  /// Cadence checkpoint: full or delta per the compaction schedule.
-  Status CheckpointLocked();
+  Status LoadRecords(const std::vector<Record>& records, bool ship);
+  /// Ships one update's `message` plus the new root signature to the SP;
+  /// returns the signature message's size.
+  size_t ShipWithSignature(const std::vector<uint8_t>& message);
 
   Options options_;
   RecordCodec codec_;
@@ -458,10 +422,6 @@ class TomSystem {
   sim::Channel sp_client_{"SP->Client"};
   std::atomic<uint64_t> attack_seed_{0xBADC0DE};
 
-  mutable std::shared_mutex rw_mu_;
-  std::atomic<uint64_t> published_epoch_{0};
-  UpdateStats update_stats_;
-
   bool stale_captured_ = false;
   uint64_t stale_epoch_ = 0;
   crypto::RsaSignature stale_signature_;
@@ -469,16 +429,8 @@ class TomSystem {
   std::once_flag stale_build_once_;
   std::unique_ptr<TomServiceProvider> stale_sp_;
 
-  // Group-commit pipeline state (see SaeSystem).
-  uint64_t staged_epoch_ = 0;
-  uint64_t wal_generation_ = 0;
-  std::unordered_map<RecordId, std::pair<bool, uint64_t>> staged_presence_;
-  std::condition_variable_any apply_cv_;
-  bool wal_dead_ = false;
-
-  // Crash safety (nullptr when options_.durability.enabled is false);
-  // written under the unique lock.
-  std::unique_ptr<DurabilityManager> durability_;
+  // Last: destroyed first (see SaeSystem).
+  UpdatePipeline pipeline_;
 };
 
 }  // namespace sae::core

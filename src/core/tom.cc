@@ -47,11 +47,13 @@ Status TomDataOwner::LoadDataset(const std::vector<Record>& sorted) {
       storage::DigestRecords(sorted, codec_, options_.scheme);
   std::vector<mbtree::MbEntry> entries;
   entries.reserve(sorted.size());
+  digest_xor_ = crypto::Digest::Zero();
   for (size_t i = 0; i < sorted.size(); ++i) {
     entries.push_back(mbtree::MbEntry{sorted[i].key,
                                       storage::Rid(sorted[i].id),
                                       digests[i]});
     key_of_id_[sorted[i].id] = sorted[i].key;
+    digest_xor_ ^= digests[i];
   }
   SAE_RETURN_NOT_OK(mb_->BulkLoad(entries));
   epoch_ = 1;  // the initial outsourcing is epoch 1
@@ -68,6 +70,7 @@ Status TomDataOwner::InsertRecord(const Record& record) {
       crypto::ComputeDigest(bytes.data(), bytes.size(), options_.scheme)};
   SAE_RETURN_NOT_OK(mb_->Insert(entry));
   key_of_id_[record.id] = record.key;
+  digest_xor_ ^= entry.digest;
   ++epoch_;
   return Resign();
 }
@@ -77,8 +80,10 @@ Status TomDataOwner::DeleteRecord(RecordId id) {
   if (it == key_of_id_.end()) {
     return Status::NotFound("no record with this id");
   }
-  SAE_RETURN_NOT_OK(mb_->Delete(it->second, storage::Rid(id)));
+  crypto::Digest removed;
+  SAE_RETURN_NOT_OK(mb_->Delete(it->second, storage::Rid(id), &removed));
   key_of_id_.erase(it);
+  digest_xor_ ^= removed;
   ++epoch_;
   return Resign();
 }

@@ -70,10 +70,12 @@ class TomDataOwner {
 
   /// Recovery: rewinds the epoch to `epoch` (the snapshot's) after a
   /// fresh LoadDataset of the snapshot records, and re-signs the root
-  /// under it. The caller cross-checks the new signature against the
-  /// snapshot's persisted one — equality proves the recovered ADS is
-  /// byte-identical to the checkpointed state.
+  /// under it.
   Status RestoreEpoch(uint64_t epoch);
+
+  /// XOR of the digests of every record in the ADS, kept in O(1) per
+  /// update from the digests the ADS maintenance computes anyway.
+  const crypto::Digest& digest_xor() const { return digest_xor_; }
 
   /// Local ADS footprint — the DO-side burden TOM imposes.
   size_t AdsStorageBytes() const { return mb_->SizeBytes(); }
@@ -90,6 +92,7 @@ class TomDataOwner {
   std::unique_ptr<mbtree::MbTree> mb_;
   std::map<RecordId, Key> key_of_id_;  // master-copy view for deletions
   crypto::RsaSignature signature_;
+  crypto::Digest digest_xor_;
   uint64_t epoch_ = 0;
 };
 

@@ -266,10 +266,12 @@ Status MbTree::InsertRec(PageId page, const MbEntry& entry,
   return StoreNode(page, node);
 }
 
-Status MbTree::Delete(Key key, Rid rid) {
+Status MbTree::Delete(Key key, Rid rid, crypto::Digest* removed) {
   bool underflow = false;
-  crypto::Digest new_digest;
-  SAE_RETURN_NOT_OK(DeleteRec(root_, key, rid, &underflow, &new_digest));
+  crypto::Digest new_digest, removed_digest;
+  SAE_RETURN_NOT_OK(
+      DeleteRec(root_, key, rid, &underflow, &new_digest, &removed_digest));
+  if (removed != nullptr) *removed = removed_digest;
   root_digest_ = new_digest;
   if (underflow) {
     SAE_ASSIGN_OR_RETURN(Node root, LoadNode(root_));
@@ -288,7 +290,8 @@ Status MbTree::Delete(Key key, Rid rid) {
 }
 
 Status MbTree::DeleteRec(PageId page, Key key, Rid rid, bool* underflow,
-                         crypto::Digest* self_digest) {
+                         crypto::Digest* self_digest,
+                         crypto::Digest* removed) {
   SAE_ASSIGN_OR_RETURN(Node node, LoadNode(page));
   *underflow = false;
 
@@ -297,6 +300,7 @@ Status MbTree::DeleteRec(PageId page, Key key, Rid rid, bool* underflow,
                  node.keys.begin();
     for (; pos < node.keys.size() && node.keys[pos] == key; ++pos) {
       if (node.rids[pos] == rid) {
+        *removed = node.digests[pos];
         node.keys.erase(node.keys.begin() + pos);
         node.rids.erase(node.rids.begin() + pos);
         node.digests.erase(node.digests.begin() + pos);
@@ -317,7 +321,7 @@ Status MbTree::DeleteRec(PageId page, Key key, Rid rid, bool* underflow,
     crypto::Digest child_digest;
     Status st =
         DeleteRec(node.children[idx], key, rid, &child_underflow,
-                  &child_digest);
+                  &child_digest, removed);
     if (st.code() == StatusCode::kNotFound) continue;
     SAE_RETURN_NOT_OK(st);
     node.digests[idx] = child_digest;

@@ -72,8 +72,9 @@ class MbTree {
   /// Inserts a posting, updating digests along the path.
   Status Insert(const MbEntry& entry);
 
-  /// Removes the posting (key, rid); NotFound if absent.
-  Status Delete(Key key, Rid rid);
+  /// Removes the posting (key, rid); NotFound if absent. `removed`, when
+  /// non-null, receives the removed posting's digest.
+  Status Delete(Key key, Rid rid, crypto::Digest* removed = nullptr);
 
   /// Bottom-up bulk load from key-sorted postings into an empty tree.
   Status BulkLoad(const std::vector<MbEntry>& sorted, double fill = 1.0);
@@ -160,7 +161,7 @@ class MbTree {
                    crypto::Digest* self_digest);
 
   Status DeleteRec(PageId page, Key key, Rid rid, bool* underflow,
-                   crypto::Digest* self_digest);
+                   crypto::Digest* self_digest, crypto::Digest* removed);
 
   Status FixUnderflow(Node* parent, size_t child_idx);
 

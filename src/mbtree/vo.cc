@@ -264,17 +264,33 @@ Status VerifyVO(const VerificationObject& vo, storage::Key lo,
   size_t boundary_count = 0;
   for (size_t i = 0; i < flat.size(); ++i) {
     switch (flat[i].kind) {
-      case FlatKind::kBoundary:
+      case FlatKind::kBoundary: {
         ++boundary_count;
         if (boundary_count > 2) {
           return Status::VerificationFailure("VO: more than two boundaries");
         }
-        if (left_boundary < 0 && first_result < 0) {
+        // Before any result or right boundary, a boundary is the left one
+        // only if its key lies below the range: an empty answer below the
+        // smallest key has just a right boundary (the tree's first entry).
+        // Each side holds at most one, so no boundary goes unchecked.
+        const auto& bytes = flat[i].item->record_bytes;
+        if (bytes.size() != codec.record_size()) {
+          return Status::VerificationFailure("VO: bad boundary record size");
+        }
+        if (first_result < 0 && right_boundary < 0 &&
+            codec.Deserialize(bytes.data()).key < lo) {
+          if (left_boundary >= 0) {
+            return Status::VerificationFailure("VO: two left boundaries");
+          }
           left_boundary = long(i);
         } else {
+          if (right_boundary >= 0) {
+            return Status::VerificationFailure("VO: two right boundaries");
+          }
           right_boundary = long(i);
         }
         break;
+      }
       case FlatKind::kResult:
         ++result_slots;
         if (first_result < 0) first_result = long(i);
@@ -311,25 +327,11 @@ Status VerifyVO(const VerificationObject& vo, storage::Key lo,
     return Status::VerificationFailure("VO: result after right boundary");
   }
 
-  // 3. Boundary key checks (completeness at the range edges).
-  if (left_boundary >= 0) {
-    const auto& bytes = flat[left_boundary].item->record_bytes;
-    if (bytes.size() != codec.record_size()) {
-      return Status::VerificationFailure("VO: bad boundary record size");
-    }
-    storage::Record r = codec.Deserialize(bytes.data());
-    if (r.key >= lo) {
-      return Status::VerificationFailure(
-          "VO: left boundary key not below query range");
-    }
-  }
+  // 3. Boundary key checks (completeness at the range edges). A left
+  // boundary lies below the range by its classification above.
   if (right_boundary >= 0) {
     const auto& bytes = flat[right_boundary].item->record_bytes;
-    if (bytes.size() != codec.record_size()) {
-      return Status::VerificationFailure("VO: bad boundary record size");
-    }
-    storage::Record r = codec.Deserialize(bytes.data());
-    if (r.key <= hi) {
+    if (codec.Deserialize(bytes.data()).key <= hi) {
       return Status::VerificationFailure(
           "VO: right boundary key not above query range");
     }

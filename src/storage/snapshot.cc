@@ -25,7 +25,11 @@ namespace {
 
 constexpr uint32_t kSnapshotMagic = 0x53414553;  // "SAES"
 constexpr uint32_t kDeltaMagic = 0x53414544;     // "SAED"
-constexpr uint32_t kSnapshotVersion = 1;
+// Version 2 payloads end in the 20-byte record-digest XOR; version 1 ended
+// in a length-prefixed root signature. Other versions are skipped like
+// torn files, so a directory holding only version-1 images recovers as
+// kNotFound (re-outsource from the owner) rather than as corruption.
+constexpr uint32_t kSnapshotVersion = 2;
 constexpr size_t kSnapshotHeader = 4 + 4 + 8 + 8;
 constexpr size_t kDeltaHeader = 4 + 4 + 8 + 8 + 8;
 constexpr const char* kTmpName = "snap.tmp";

@@ -19,10 +19,9 @@
 //                            durable; concurrent committers elect ONE
 //                            leader whose single fsync covers the whole
 //                            group, the rest just wait
-// Append() = Stage + Commit inline (the non-group path; byte- and
-// barrier-identical to the PR 9 single-file log per record).
+// Append() = Stage + Commit inline: one record, one sync point.
 //
-// On-disk record layout (little-endian), unchanged from PR 9:
+// On-disk record layout (little-endian):
 //   [payload_len u32][crc32 u32 over payload][payload bytes]
 //
 // Recovery scans segments in sequence order from offset 0 and stops at the
@@ -105,24 +104,18 @@ class WriteAheadLog {
 
   /// Returns once every record with sequence <= `seq` is durable. The group
   /// sequencer: the first committer to find undurable records becomes the
-  /// leader and issues one fsync for everything staged so far (waiting up
-  /// to `max_delay_us` for stragglers to stage first); everyone covered by
-  /// that fsync just waits. A failed fsync wakes all waiters, each of whom
-  /// retries as its own leader and surfaces its own error — after a real
-  /// crash every retry fails, so no committer ever reports durable falsely.
-  Status Commit(uint64_t seq, uint32_t max_delay_us = 0);
+  /// leader and issues one fsync for everything staged so far; everyone
+  /// covered by that fsync just waits. A failed fsync wakes all waiters,
+  /// each of whom retries as its own leader and surfaces its own error —
+  /// after a real crash every retry fails, so no committer ever reports
+  /// durable falsely.
+  Status Commit(uint64_t seq);
 
-  /// Stage + Commit inline: one record, one sync point — the non-group
-  /// write path.
+  /// Stage + Commit inline: one record, one sync point.
   Status Append(const uint8_t* payload, size_t len);
   Status Append(const std::vector<uint8_t>& payload) {
     return Append(payload.data(), payload.size());
   }
-
-  /// Retracts the most recently staged record (its in-memory apply
-  /// failed) and syncs the shortened segment (one sync point). Only valid
-  /// when nothing staged after it — the non-group pipeline's undo.
-  Status UndoLastStaged();
 
   /// Seals the active segment at a checkpoint capture and returns its
   /// sequence number; the next Stage opens segment seq+1. Syncs the sealed
@@ -172,7 +165,6 @@ class WriteAheadLog {
   std::shared_ptr<VfsFile> active_file_;  // shared: a leader's in-flight
                                           // sync survives a Rotate swap
   uint64_t end_ = 0;            // valid end offset in the active segment
-  uint64_t prev_end_ = 0;       // end before the last Stage (for undo)
   std::map<uint64_t, uint64_t> sealed_bytes_;  // seq -> size of sealed segs
   uint64_t staged_count_ = 0;   // records staged, cumulative
   uint64_t durable_count_ = 0;  // records known durable

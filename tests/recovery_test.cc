@@ -10,11 +10,10 @@
 //   (b) verifiable    — a full sweep of verifying queries accepts,
 //   (c) prefix-exact  — differentially equal to a never-crashed twin that
 //       applied exactly the updates whose WAL records became durable.
-// The matrix runs in BOTH write-path configurations: the delta-chain mode
-// (delta snapshots + WAL group commit + background checkpointing, the
-// default) and the legacy full-snapshot mode (everything off, the PR 9
-// pipeline) — every barrier of either pipeline, including the ones inside
-// a background checkpoint write, is a crash point. On top of the matrix:
+// The matrix runs in BOTH checkpoint chain shapes: delta links crossing a
+// compaction, and full snapshots only (full_snapshot_every = 1) — every
+// barrier of either, including the ones inside a background checkpoint
+// write, is a crash point. On top of the matrix:
 // a WAL-corruption fuzzer (torn tails, bit flips, lying length prefixes),
 // snapshot atomicity/fallback checks including a corrupt middle delta
 // link, the rollback adversary (an SP restored from an older durable
@@ -39,6 +38,7 @@
 #include "storage/fault_fs.h"
 #include "storage/snapshot.h"
 #include "storage/wal.h"
+#include "util/codec.h"
 
 namespace sae {
 namespace {
@@ -76,15 +76,14 @@ std::string DeltaFileName(uint64_t base, uint64_t epoch) {
   return buf;
 }
 
-// `legacy` restores the PR 9 write path: full snapshots only, one fsync
-// per update under the writer lock, checkpoints inline. The default is
-// the delta-chain pipeline. full_snapshot_every=3 makes the deterministic
-// schedule cross a compaction (delta, delta, full) inside the matrix.
+// full_snapshot_every=3 makes the deterministic schedule cross a
+// compaction (delta, delta, full) inside the matrix; `full_only` makes
+// every checkpoint a full snapshot.
 template <typename System>
 typename System::Options DurableOptions(crypto::HashScheme scheme,
                                         storage::Vfs* vfs,
                                         const std::string& dir,
-                                        bool legacy = false) {
+                                        bool full_only = false) {
   typename System::Options options;
   options.record_size = kRecordSize;
   options.scheme = scheme;
@@ -92,12 +91,7 @@ typename System::Options DurableOptions(crypto::HashScheme scheme,
   options.durability.dir = dir;
   options.durability.vfs = vfs;
   options.durability.snapshot_interval = kSnapshotInterval;
-  options.durability.full_snapshot_every = 3;
-  if (legacy) {
-    options.durability.delta_snapshots = false;
-    options.durability.wal_group_commit = false;
-    options.durability.background_checkpoint = false;
-  }
+  options.durability.full_snapshot_every = full_only ? 1 : 3;
   return options;
 }
 
@@ -198,7 +192,7 @@ std::vector<Record> FullScan(System* system) {
 // --- the crash-point matrix --------------------------------------------------
 
 template <typename System>
-void RunCrashMatrix(crypto::HashScheme scheme, bool legacy) {
+void RunCrashMatrix(crypto::HashScheme scheme, bool full_only) {
   RecordCodec codec(kRecordSize);
 
   // Pass 1: crash-free run counts the barriers and fixes the final state.
@@ -206,7 +200,7 @@ void RunCrashMatrix(crypto::HashScheme scheme, bool legacy) {
   size_t total_updates = 0;
   {
     auto system = std::make_unique<System>(
-        DurableOptions<System>(scheme, &clean_fs, "/db", legacy));
+        DurableOptions<System>(scheme, &clean_fs, "/db", full_only));
     size_t applied = 0;
     ASSERT_TRUE(RunWorkload(system.get(), codec, &applied).ok());
     total_updates = applied;
@@ -221,13 +215,13 @@ void RunCrashMatrix(crypto::HashScheme scheme, bool legacy) {
   for (uint64_t k = 1; k <= sync_points; ++k) {
     SCOPED_TRACE("crash at sync point " + std::to_string(k) + ", scheme " +
                  std::to_string(int(scheme)) +
-                 (legacy ? ", legacy" : ", delta"));
+                 (full_only ? ", full only" : ", delta"));
     FaultFs fs;
     fs.CrashAtSyncPoint(k);
     size_t applied = 0;
     {
       auto system = std::make_unique<System>(
-          DurableOptions<System>(scheme, &fs, "/db", legacy));
+          DurableOptions<System>(scheme, &fs, "/db", full_only));
       Status st = RunWorkload(system.get(), codec, &applied);
       ASSERT_FALSE(st.ok());  // the armed crash must have fired
       ASSERT_TRUE(fs.crashed());
@@ -235,7 +229,7 @@ void RunCrashMatrix(crypto::HashScheme scheme, bool legacy) {
     fs.DropVolatile();  // power loss: volatile bytes are gone
 
     auto recovered =
-        System::Recover(DurableOptions<System>(scheme, &fs, "/db", legacy));
+        System::Recover(DurableOptions<System>(scheme, &fs, "/db", full_only));
     if (!recovered.ok()) {
       // Only legitimate before the epoch-1 baseline snapshot is durable:
       // its temp-file sync is barrier 1 and its rename is barrier 2, so
@@ -277,39 +271,39 @@ void RunCrashMatrix(crypto::HashScheme scheme, bool legacy) {
 }
 
 TEST(RecoveryMatrix, SaeSha1EveryCrashPointRecovers) {
-  RunCrashMatrix<SaeSystem>(crypto::HashScheme::kSha1, /*legacy=*/false);
+  RunCrashMatrix<SaeSystem>(crypto::HashScheme::kSha1, /*full_only=*/false);
 }
 
 TEST(RecoveryMatrix, SaeSha256EveryCrashPointRecovers) {
   RunCrashMatrix<SaeSystem>(crypto::HashScheme::kSha256Trunc,
-                            /*legacy=*/false);
+                            /*full_only=*/false);
 }
 
 TEST(RecoveryMatrix, TomSha1EveryCrashPointRecovers) {
-  RunCrashMatrix<TomSystem>(crypto::HashScheme::kSha1, /*legacy=*/false);
+  RunCrashMatrix<TomSystem>(crypto::HashScheme::kSha1, /*full_only=*/false);
 }
 
 TEST(RecoveryMatrix, TomSha256EveryCrashPointRecovers) {
   RunCrashMatrix<TomSystem>(crypto::HashScheme::kSha256Trunc,
-                            /*legacy=*/false);
+                            /*full_only=*/false);
 }
 
-TEST(RecoveryMatrix, SaeSha1LegacyFullSnapshotsEveryCrashPointRecovers) {
-  RunCrashMatrix<SaeSystem>(crypto::HashScheme::kSha1, /*legacy=*/true);
+TEST(RecoveryMatrix, SaeSha1FullSnapshotsOnlyEveryCrashPointRecovers) {
+  RunCrashMatrix<SaeSystem>(crypto::HashScheme::kSha1, /*full_only=*/true);
 }
 
-TEST(RecoveryMatrix, SaeSha256LegacyFullSnapshotsEveryCrashPointRecovers) {
+TEST(RecoveryMatrix, SaeSha256FullSnapshotsOnlyEveryCrashPointRecovers) {
   RunCrashMatrix<SaeSystem>(crypto::HashScheme::kSha256Trunc,
-                            /*legacy=*/true);
+                            /*full_only=*/true);
 }
 
-TEST(RecoveryMatrix, TomSha1LegacyFullSnapshotsEveryCrashPointRecovers) {
-  RunCrashMatrix<TomSystem>(crypto::HashScheme::kSha1, /*legacy=*/true);
+TEST(RecoveryMatrix, TomSha1FullSnapshotsOnlyEveryCrashPointRecovers) {
+  RunCrashMatrix<TomSystem>(crypto::HashScheme::kSha1, /*full_only=*/true);
 }
 
-TEST(RecoveryMatrix, TomSha256LegacyFullSnapshotsEveryCrashPointRecovers) {
+TEST(RecoveryMatrix, TomSha256FullSnapshotsOnlyEveryCrashPointRecovers) {
   RunCrashMatrix<TomSystem>(crypto::HashScheme::kSha256Trunc,
-                            /*legacy=*/true);
+                            /*full_only=*/true);
 }
 
 // --- WAL fuzzing -------------------------------------------------------------
@@ -746,6 +740,66 @@ TEST(Recovery, DeltaChainRecoveryComposesAcrossCompaction) {
   VerifySweep(recovered.value().get());
 }
 
+TEST(Recovery, TomRecoversCadenceCheckpointsOfALargeTree) {
+  // Regression: the MB-tree's shape depends on its update history, and
+  // recovery bulk-loads the checkpointed records into a different shape,
+  // so a check against the persisted root signature rejected every honest
+  // checkpoint past a few nodes. The digest XOR check is shape-free.
+  RecordCodec codec(kRecordSize);
+  for (bool appended : {false, true}) {
+    SCOPED_TRACE(appended ? "appended keys" : "random keys");
+    FaultFs fs;
+    auto options =
+        DurableOptions<TomSystem>(crypto::HashScheme::kSha1, &fs, "/db");
+    options.durability.snapshot_interval = 8;
+    std::vector<Record> live;
+    {
+      TomSystem system(options);
+      ASSERT_TRUE(system.Load(SeedDataset(codec, 2000)).ok());
+      uint64_t rng = 0x70A;
+      for (int i = 0; i < 64; ++i) {
+        Key key = appended ? Key(20000 + i) : Key(NextRand(&rng) % 20000);
+        ASSERT_TRUE(
+            system.Insert(codec.MakeRecord(RecordId(5000 + i), key)).ok());
+      }
+      ASSERT_TRUE(system.WaitForCheckpoints().ok());
+      DurabilityStats stats = system.durability_stats();
+      EXPECT_EQ(stats.checkpoints_full + stats.checkpoints_delta, 9u);
+      live = FullScan(&system);
+    }
+    fs.DropVolatile();
+    auto recovered = TomSystem::Recover(options);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+    EXPECT_EQ(recovered.value()->epoch(), 65u);
+    EXPECT_EQ(FullScan(recovered.value().get()), live);
+    VerifySweep(recovered.value().get());
+  }
+}
+
+TEST(Recovery, TomWalReplayShipsNothing) {
+  // TOM recovery rebuilds owner and SP from local disk; re-applying the
+  // WAL tail must not meter DO -> SP traffic that never crossed a network.
+  RecordCodec codec(kRecordSize);
+  FaultFs fs;
+  auto options =
+      DurableOptions<TomSystem>(crypto::HashScheme::kSha1, &fs, "/db");
+  options.durability.snapshot_interval = 0;  // the tail is every update
+  {
+    TomSystem system(options);
+    ASSERT_TRUE(system.Load(SeedDataset(codec, 20)).ok());
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(
+          system.Insert(codec.MakeRecord(RecordId(100 + i), Key(7 + i))).ok());
+    }
+  }
+  fs.DropVolatile();
+  auto recovered = TomSystem::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  EXPECT_EQ(recovered.value()->epoch(), 6u);
+  EXPECT_EQ(recovered.value()->do_sp_channel().total_bytes(), 0u);
+  VerifySweep(recovered.value().get());
+}
+
 // --- rollback adversary ------------------------------------------------------
 
 // An attacker restores the SP from an older (internally consistent,
@@ -1055,6 +1109,49 @@ TEST(Recovery, ModelAndConfigMismatchesAreRejected) {
   EXPECT_EQ(wrong_scheme.status().code(), StatusCode::kCorruption);
 }
 
+// A directory written before the digest-XOR payload holds version-1
+// images whose payload ends in a length-prefixed root signature. They are
+// skipped like any unreadable image, so Recover reports kNotFound (the
+// signal to re-outsource from the owner), never kCorruption.
+TEST(Recovery, Version1SnapshotsRecoverAsNotFound) {
+  RecordCodec codec(kRecordSize);
+  FaultFs fs;
+  {
+    SaeSystem system(
+        DurableOptions<SaeSystem>(crypto::HashScheme::kSha1, &fs, "/db"));
+    ASSERT_TRUE(system.Load(SeedDataset(codec, 5)).ok());
+  }
+  fs.DropVolatile();
+
+  // Rewrite the epoch-1 baseline as version 1 wrote it: same records, an
+  // empty SAE signature (u32 length 0) in place of the 20-byte digest XOR.
+  const std::string path = "/db/snap-00000000000000000001";
+  auto file = fs.Open(path, false).ValueOrDie();
+  uint64_t size = file->Size().ValueOrDie();
+  std::vector<uint8_t> image(size);
+  ASSERT_EQ(file->ReadAt(0, image.data(), size).ValueOrDie(), size);
+  constexpr size_t kHeader = 24;
+  std::vector<uint8_t> payload(image.begin() + kHeader,
+                               image.end() - 4 - crypto::Digest::kSize);
+  payload.insert(payload.end(), 4, 0);
+  std::vector<uint8_t> old(kHeader + payload.size() + 4);
+  std::copy(image.begin(), image.begin() + kHeader, old.begin());
+  EncodeU32(old.data() + 4, 1);
+  EncodeU64(old.data() + 16, payload.size());
+  std::copy(payload.begin(), payload.end(), old.begin() + kHeader);
+  EncodeU32(old.data() + kHeader + payload.size(),
+            storage::Crc32(old.data(), kHeader + payload.size()));
+  ASSERT_TRUE(file->Truncate(0).ok());
+  ASSERT_TRUE(file->WriteAt(0, old.data(), old.size()).ok());
+  ASSERT_TRUE(file->Sync().ok());
+  file.reset();
+
+  auto recovered = SaeSystem::Recover(
+      DurableOptions<SaeSystem>(crypto::HashScheme::kSha1, &fs, "/db"));
+  EXPECT_EQ(recovered.status().code(), StatusCode::kNotFound)
+      << recovered.status().message();
+}
+
 TEST(Recovery, ShardedSystemRecoversEveryShardAndItsDirectory) {
   RecordCodec codec(kRecordSize);
   FaultFs fs;
@@ -1157,6 +1254,53 @@ TEST(DurableConcurrency, GroupCommitManyWritersRecoverExactly) {
   EXPECT_EQ(recovered.value()->epoch(), 1u + kThreads * kPerThread);
   EXPECT_EQ(FullScan(recovered.value().get()), live);
   VerifySweep(recovered.value().get());
+}
+
+TEST(DurableConcurrency, CadenceCheckpointsKeepUpWithConcurrentWriters) {
+  // Regression: a checkpoint is captured only when nothing is staged but
+  // unapplied, and under two or more steady writers that moment never
+  // came — checkpoints starved and the live WAL grew without bound. A due
+  // checkpoint now holds new stagers until the in-flight group applies.
+  RecordCodec codec(kRecordSize);
+  FaultFs fs;
+  fs.SetSyncLatency(200);
+  auto options =
+      DurableOptions<SaeSystem>(crypto::HashScheme::kSha1, &fs, "/db");
+  constexpr uint64_t kInterval = 16;
+  options.durability.snapshot_interval = kInterval;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 128;
+  constexpr uint64_t kUpdates = kThreads * kPerThread;
+  {
+    SaeSystem system(options);
+    ASSERT_TRUE(system.Load(SeedDataset(codec, 10)).ok());
+    std::atomic<int> failures{0};
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kThreads; ++t) {
+      writers.emplace_back([&, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          RecordId id = RecordId(1000 + t * kPerThread + i);
+          if (!system.Insert(codec.MakeRecord(id, Key(2000 + id))).ok()) {
+            failures.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& w : writers) w.join();
+    ASSERT_EQ(failures.load(), 0);
+    ASSERT_TRUE(system.WaitForCheckpoints().ok());
+    DurabilityStats stats = system.durability_stats();
+    // The Load baseline is one full snapshot; the rest are cadence
+    // checkpoints.
+    EXPECT_GE(stats.checkpoints_full + stats.checkpoints_delta - 1,
+              kUpdates / (2 * kInterval));
+  }
+  fs.DropVolatile();
+  auto recovered = SaeSystem::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  EXPECT_EQ(recovered.value()->epoch(), 1 + kUpdates);
+  EXPECT_LE(recovered.value()->durability()->recovered().wal_tail.size(),
+            2 * kInterval);
 }
 
 TEST(DurableConcurrency, TomGroupCommitWritersRecoverExactly) {

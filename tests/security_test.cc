@@ -236,6 +236,37 @@ TEST_F(VoCraftTest, BoundaryForgeryIsDetected) {
   EXPECT_EQ(st.code(), StatusCode::kVerificationFailure);
 }
 
+// Hiding the tree's first record from a range at the low edge: the SP turns
+// the result slot into a boundary item and answers empty. The root digest
+// still rebuilds, so the VO then carries two boundaries above `lo`, and only
+// the boundary classification can reject it.
+TEST_F(VoCraftTest, FirstRecordRecastAsBoundaryIsDetected) {
+  const std::pair<uint32_t, uint32_t> ranges[] = {{10, 10}, {0, 15}};
+  for (auto [lo, hi] : ranges) {
+    SCOPED_TRACE(testing::Message() << "[" << lo << ", " << hi << "]");
+    auto vo = SignedVo(lo, hi);
+    std::vector<Record> results = Results(lo, hi);
+    ASSERT_EQ(results.size(), 1u);
+    ASSERT_TRUE(mbtree::VerifyVO(vo, lo, hi, results,
+                                 SharedKey()->PublicKey(), codec_)
+                    .ok());
+
+    bool recast = false;
+    ForEachItem(&vo.root, [&](mbtree::VoNode* node, size_t i) {
+      auto& item = node->items[i];
+      if (recast || item.type != mbtree::VoItem::Type::kResultEntry) return;
+      item.type = mbtree::VoItem::Type::kBoundaryRecord;
+      item.record_bytes = codec_.Serialize(results.front());
+      recast = true;
+    });
+    ASSERT_TRUE(recast);
+
+    Status st = mbtree::VerifyVO(vo, lo, hi, {}, SharedKey()->PublicKey(),
+                                 codec_);
+    EXPECT_EQ(st.code(), StatusCode::kVerificationFailure) << st.ToString();
+  }
+}
+
 TEST_F(VoCraftTest, SignatureFromForeignKeyIsRejected) {
   auto vo = tree_->BuildVo(200, 600, Fetcher()).ValueOrDie();
   Rng rng(777);
@@ -529,6 +560,11 @@ std::vector<AggregateCase> AggregateCases() {
       // Empty range: the truncation attack degrades to a count lie.
       {dbms::QueryRequest::TopK(900000, 950000, 5),
        core::AttackMode::kTruncatedTopK},
+      // Empty ranges below the smallest key (10): the honest control rows
+      // must verify too, with the first entry as the only boundary.
+      {dbms::QueryRequest::Point(0), core::AttackMode::kWrongCount},
+      {dbms::QueryRequest::Scan(0, 5), core::AttackMode::kInjectFake},
+      {dbms::QueryRequest::Count(0, 9), core::AttackMode::kWrongCount},
   };
 }
 
