@@ -18,7 +18,7 @@ namespace {
 
 using namespace sae;
 using storage::BufferPool;
-using storage::InMemoryPageStore;
+using storage::PageStore;
 
 constexpr size_t kTreeSize = 100'000;
 constexpr uint32_t kDomain = 10'000'000;
@@ -31,7 +31,7 @@ crypto::Digest DigestFor(uint64_t id) {
 // --- B+-tree -------------------------------------------------------------------
 
 struct BTreeBundle {
-  InMemoryPageStore store;
+  PageStore store;
   std::unique_ptr<BufferPool> pool;
   std::unique_ptr<btree::BPlusTree> tree;
 };
@@ -77,7 +77,7 @@ BENCHMARK(BM_BPlusTree_RangeSearch);
 // --- MB-tree -------------------------------------------------------------------
 
 struct MbBundle {
-  InMemoryPageStore store;
+  PageStore store;
   std::unique_ptr<BufferPool> pool;
   std::unique_ptr<mbtree::MbTree> tree;
 };
@@ -127,7 +127,7 @@ void BM_MbTree_BuildVo(benchmark::State& state) {
 BENCHMARK(BM_MbTree_BuildVo);
 
 void BM_MbTree_Insert(benchmark::State& state) {
-  InMemoryPageStore store;
+  PageStore store;
   BufferPool pool(&store, 4096);
   auto tree = mbtree::MbTree::Create(&pool).ValueOrDie();
   Rng rng(4);
@@ -144,7 +144,7 @@ BENCHMARK(BM_MbTree_Insert);
 // --- XB-tree -------------------------------------------------------------------
 
 struct XbBundle {
-  InMemoryPageStore store;
+  PageStore store;
   std::unique_ptr<BufferPool> pool;
   std::unique_ptr<xbtree::XbTree> tree;
 };
@@ -188,7 +188,7 @@ void BM_XbTree_GenerateVT(benchmark::State& state) {
 BENCHMARK(BM_XbTree_GenerateVT);
 
 void BM_XbTree_Insert(benchmark::State& state) {
-  InMemoryPageStore store;
+  PageStore store;
   BufferPool pool(&store, 4096);
   auto tree = xbtree::XbTree::Create(&pool).ValueOrDie();
   Rng rng(6);

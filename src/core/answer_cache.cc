@@ -87,14 +87,4 @@ size_t AnswerCache::size() const {
   return map_.size();
 }
 
-void AnswerCache::MutateEntries(
-    const std::function<void(CachedAnswer*)>& fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [key, entry] : map_) {
-    CachedAnswer mutated = *entry.value;
-    fn(&mutated);
-    entry.value = std::make_shared<const CachedAnswer>(std::move(mutated));
-  }
-}
-
 }  // namespace sae::core

@@ -16,7 +16,6 @@
 #define SAE_CORE_ANSWER_CACHE_H_
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -114,10 +113,6 @@ class AnswerCache {
 
   AnswerCacheStats stats() const;
   size_t size() const;
-
-  /// Adversary hook (tests / MaliciousSp): rewrites every resident entry in
-  /// place. A poisoned cache must still be caught by client verification.
-  void MutateEntries(const std::function<void(CachedAnswer*)>& fn);
 
  private:
   struct KeyHash {

@@ -87,7 +87,7 @@ class MultiAttrTrustedEntity {
 
   Options options_;
   RecordCodec codec_;
-  storage::InMemoryPageStore store_;
+  storage::PageStore store_;
   mutable storage::BufferPool pool_;
   std::vector<AttrIndex> indexes_;
 };

@@ -112,8 +112,8 @@ class ServiceProvider {
   }
 
  private:
-  storage::InMemoryPageStore index_store_;
-  storage::InMemoryPageStore heap_store_;
+  storage::PageStore index_store_;
+  storage::PageStore heap_store_;
   // mutable: const reads fetch pages; the pools lock internally.
   mutable storage::BufferPool index_pool_;
   mutable storage::BufferPool heap_pool_;

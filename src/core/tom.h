@@ -87,7 +87,7 @@ class TomDataOwner {
   Options options_;
   RecordCodec codec_;
   crypto::RsaPrivateKey key_;
-  storage::InMemoryPageStore store_;
+  storage::PageStore store_;
   storage::BufferPool pool_;
   std::unique_ptr<mbtree::MbTree> mb_;
   std::map<RecordId, Key> key_of_id_;  // master-copy view for deletions
@@ -203,8 +203,8 @@ class TomServiceProvider {
 
   Options options_;
   RecordCodec codec_;
-  storage::InMemoryPageStore index_store_;
-  storage::InMemoryPageStore heap_store_;
+  storage::PageStore index_store_;
+  storage::PageStore heap_store_;
   // The pools lock internally; const reads fetch pages via stored pointers.
   storage::BufferPool index_pool_;
   storage::BufferPool heap_pool_;

@@ -102,7 +102,7 @@ class TrustedEntity {
  private:
   Options options_;
   RecordCodec codec_;
-  storage::InMemoryPageStore store_;
+  storage::PageStore store_;
   // mutable: const reads fetch pages; the pool locks internally.
   mutable storage::BufferPool pool_;
   std::unique_ptr<xbtree::XbTree> xb_;

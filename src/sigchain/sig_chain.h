@@ -214,8 +214,8 @@ class SigChainSp {
 
   Options options_;
   RecordCodec codec_;
-  storage::InMemoryPageStore index_store_;
-  storage::InMemoryPageStore heap_store_;
+  storage::PageStore index_store_;
+  storage::PageStore heap_store_;
   storage::BufferPool index_pool_;
   storage::BufferPool heap_pool_;
   storage::HeapFile table_heap_;

@@ -167,10 +167,8 @@ class BufferPool {
   // mu_ guards frames_ metadata (pin counts, dirty/in-use flags, ids),
   // free_frames_, lru_, table_, and all PageStore calls. Page *contents* of
   // pinned frames are read outside the lock (see class comment). The lock
-  // is held across store I/O on the miss path — negligible for the
-  // simulator's in-memory store; sharding the lock (or moving reads behind
-  // an io-pending flag) is the next step if a real disk store needs to
-  // scale under miss-heavy load.
+  // is held across the store copy on the miss path, which is a memcpy
+  // because the store is in memory.
   mutable std::mutex mu_;
   std::vector<Frame> frames_;
   std::vector<size_t> free_frames_;

@@ -1,7 +1,7 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
 // Implements HeapFile (storage/heap_file.h): fixed-size record slots on
-// 4096-byte pages with free-slot reuse and snapshot/restore.
+// 4096-byte pages with free-slot reuse.
 
 #include "storage/heap_file.h"
 
@@ -128,73 +128,6 @@ Status HeapFile::Delete(Rid rid) {
   }
   --record_count_;
   return Status::OK();
-}
-
-namespace {
-constexpr uint32_t kSnapshotMagic = 0x48505353u;  // "HPSS"
-}
-
-void HeapFile::WriteSnapshot(ByteWriter* out) const {
-  out->PutU32(kSnapshotMagic);
-  out->PutU32(uint32_t(record_size_));
-  out->PutU64(record_count_);
-  out->PutU32(uint32_t(pages_.size()));
-  for (PageId p : pages_) out->PutU32(p);
-  out->PutU32(uint32_t(pages_with_room_.size()));
-  for (PageId p : pages_with_room_) out->PutU32(p);
-}
-
-Status HeapFile::RestoreSnapshot(ByteReader* in) {
-  if (record_count_ != 0 || !pages_.empty()) {
-    return Status::InvalidArgument("restore requires an empty heap file");
-  }
-  if (in->GetU32() != kSnapshotMagic) {
-    return Status::Corruption("not a heap-file snapshot");
-  }
-  if (in->GetU32() != record_size_) {
-    return Status::Corruption("heap-file snapshot record size mismatch");
-  }
-  record_count_ = in->GetU64();
-  uint32_t page_count = in->GetU32();
-  pages_.reserve(page_count);
-  for (uint32_t i = 0; i < page_count; ++i) pages_.push_back(in->GetU32());
-  uint32_t room_count = in->GetU32();
-  pages_with_room_.reserve(room_count);
-  for (uint32_t i = 0; i < room_count; ++i) {
-    pages_with_room_.push_back(in->GetU32());
-  }
-  if (in->failed()) return Status::Corruption("truncated heap-file snapshot");
-  return Status::OK();
-}
-
-Result<std::unique_ptr<HeapFile>> HeapFile::OpenSnapshot(BufferPool* pool,
-                                                         ByteReader* in) {
-  // Peek the record size without consuming: copy the reader is not
-  // supported, so parse the header manually into a fresh object.
-  if (in->remaining() < 8) {
-    return Status::Corruption("truncated heap-file snapshot");
-  }
-  // The snapshot layout starts [magic u32][record_size u32]; construct with
-  // that size, then restore through the normal path.
-  uint32_t magic = in->GetU32();
-  uint32_t record_size = in->GetU32();
-  if (magic != kSnapshotMagic) {
-    return Status::Corruption("not a heap-file snapshot");
-  }
-  auto heap = std::make_unique<HeapFile>(pool, record_size);
-  heap->record_count_ = in->GetU64();
-  uint32_t page_count = in->GetU32();
-  heap->pages_.reserve(page_count);
-  for (uint32_t i = 0; i < page_count; ++i) {
-    heap->pages_.push_back(in->GetU32());
-  }
-  uint32_t room_count = in->GetU32();
-  heap->pages_with_room_.reserve(room_count);
-  for (uint32_t i = 0; i < room_count; ++i) {
-    heap->pages_with_room_.push_back(in->GetU32());
-  }
-  if (in->failed()) return Status::Corruption("truncated heap-file snapshot");
-  return heap;
 }
 
 Status HeapFile::Scan(

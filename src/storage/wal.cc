@@ -218,11 +218,6 @@ Status WriteAheadLog::Commit(uint64_t seq) {
   return Status::OK();
 }
 
-Status WriteAheadLog::Append(const uint8_t* payload, size_t len) {
-  SAE_ASSIGN_OR_RETURN(uint64_t seq, Stage(payload, len));
-  return Commit(seq);
-}
-
 Result<uint64_t> WriteAheadLog::Rotate() {
   std::unique_lock<std::mutex> lock(mu_);
   if (end_ == 0) {

@@ -19,7 +19,7 @@ namespace sae::btree {
 namespace {
 
 using storage::BufferPool;
-using storage::InMemoryPageStore;
+using storage::PageStore;
 
 class BTreeTest : public ::testing::Test {
  protected:
@@ -35,7 +35,7 @@ class BTreeTest : public ::testing::Test {
     return std::move(r).ValueOrDie();
   }
 
-  InMemoryPageStore store_;
+  PageStore store_;
   BufferPool pool_;
 };
 
@@ -240,7 +240,7 @@ TEST_F(BTreeTest, DefaultFanoutsMatchPageMath) {
 class BTreeRandomizedTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(BTreeRandomizedTest, MatchesReferenceModel) {
-  InMemoryPageStore store;
+  PageStore store;
   BufferPool pool(&store, 512);
   BPlusTreeOptions options;
   options.max_leaf_entries = 6;

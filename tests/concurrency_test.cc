@@ -63,7 +63,7 @@ std::vector<BatchQuery> MakeBatch(size_t count, uint32_t domain,
 // --- storage: BufferPool under concurrent readers ----------------------------
 
 TEST(BufferPoolConcurrencyTest, ParallelFetchersSeeConsistentPages) {
-  storage::InMemoryPageStore store;
+  storage::PageStore store;
   BufferPool pool(&store, 16);  // smaller than the page count: forces
                                 // eviction churn under contention
   constexpr size_t kPages = 64;

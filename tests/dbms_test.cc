@@ -14,7 +14,7 @@
 namespace sae::dbms {
 namespace {
 
-using storage::InMemoryPageStore;
+using storage::PageStore;
 
 class TableTest : public ::testing::Test {
  protected:
@@ -29,8 +29,8 @@ class TableTest : public ::testing::Test {
     return table_->codec().MakeRecord(id, key);
   }
 
-  InMemoryPageStore index_store_;
-  InMemoryPageStore heap_store_;
+  PageStore index_store_;
+  PageStore heap_store_;
   BufferPool index_pool_;
   BufferPool heap_pool_;
   std::unique_ptr<Table> table_;

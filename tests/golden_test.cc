@@ -63,7 +63,7 @@ TEST(GoldenTest, RecordDigestStability) {
 TEST(GoldenTest, PageDerivedFanouts) {
   // 4096-byte pages fix every fanout; these constants are what make Fig. 6
   // and Fig. 8 comparable with the paper.
-  storage::InMemoryPageStore store;
+  storage::PageStore store;
   storage::BufferPool pool(&store, 16);
   EXPECT_EQ(btree::BPlusTree::Create(&pool).ValueOrDie()->max_leaf_entries(),
             340u);
@@ -78,7 +78,7 @@ TEST(GoldenTest, PageDerivedFanouts) {
 }
 
 TEST(GoldenTest, HeapSlotsForPaperRecordSize) {
-  storage::InMemoryPageStore store;
+  storage::PageStore store;
   storage::BufferPool pool(&store, 16);
   storage::HeapFile heap(&pool, 500);
   EXPECT_EQ(heap.slots_per_page(), 8u);  // (4096 - 32) / 500
@@ -275,7 +275,7 @@ TEST(GoldenTest, VoWireFormatStability) {
   // A tiny fully-specified MB-tree and query; the VO byte stream must not
   // drift. (Single leaf: 3 result slots between two boundary records is
   // impossible with only 3 records in range, so pin a digest/boundary mix.)
-  storage::InMemoryPageStore store;
+  storage::PageStore store;
   storage::BufferPool pool(&store, 64);
   RecordCodec codec(20);
   mbtree::MbTreeOptions options;

@@ -19,7 +19,7 @@ namespace sae::mbtree {
 namespace {
 
 using storage::BufferPool;
-using storage::InMemoryPageStore;
+using storage::PageStore;
 using storage::Record;
 using storage::RecordCodec;
 
@@ -106,7 +106,7 @@ class MbFixture : public ::testing::Test {
                     SharedKey()->PublicKey(), codec_);
   }
 
-  InMemoryPageStore store_;
+  PageStore store_;
   BufferPool pool_;
   RecordCodec codec_;
   std::unique_ptr<MbTree> tree_;
@@ -159,7 +159,7 @@ TEST_F(MbFixture, BulkLoadMatchesIncrementalDigest) {
   // Fresh tree, same data, bulk loaded (full leaves change node grouping, so
   // only compare *after* rebuilding with the same structure is not possible;
   // instead verify bulk-load digests validate internally and queries verify).
-  InMemoryPageStore store2;
+  PageStore store2;
   BufferPool pool2(&store2, 512);
   MbTreeOptions options;
   options.max_leaf_entries = 5;
@@ -329,7 +329,7 @@ TEST_F(MbFixture, DefaultFanoutsMatchPageMath) {
 class MbRandomizedTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(MbRandomizedTest, UpdatesAndQueriesStayVerifiable) {
-  InMemoryPageStore store;
+  PageStore store;
   BufferPool pool(&store, 1024);
   RecordCodec codec(kRecSize);
   MbTreeOptions options;

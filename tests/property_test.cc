@@ -22,7 +22,7 @@ namespace sae {
 namespace {
 
 using storage::BufferPool;
-using storage::InMemoryPageStore;
+using storage::PageStore;
 
 crypto::Digest DigestFor(uint64_t id) {
   return crypto::ComputeDigest(&id, sizeof(id));
@@ -38,7 +38,7 @@ class BTreeFanoutSweep : public ::testing::TestWithParam<Fanout> {};
 
 TEST_P(BTreeFanoutSweep, InsertDeleteQueryBattery) {
   auto [max_leaf, max_internal] = GetParam();
-  InMemoryPageStore store;
+  PageStore store;
   BufferPool pool(&store, 512);
   btree::BPlusTreeOptions options;
   options.max_leaf_entries = max_leaf;
@@ -88,7 +88,7 @@ class MbFanoutSweep : public ::testing::TestWithParam<Fanout> {};
 
 TEST_P(MbFanoutSweep, DigestsSurviveChurn) {
   auto [max_leaf, max_internal] = GetParam();
-  InMemoryPageStore store;
+  PageStore store;
   BufferPool pool(&store, 512);
   mbtree::MbTreeOptions options;
   options.max_leaf_entries = max_leaf;
@@ -125,7 +125,7 @@ class XbFanoutSweep : public ::testing::TestWithParam<Fanout> {};
 
 TEST_P(XbFanoutSweep, VtMatchesModelUnderChurn) {
   auto [max_entries, per_chunk] = GetParam();
-  InMemoryPageStore store;
+  PageStore store;
   BufferPool pool(&store, 1024);
   xbtree::XbTreeOptions options;
   options.max_entries = max_entries;
@@ -171,7 +171,7 @@ INSTANTIATE_TEST_SUITE_P(Fanouts, XbFanoutSweep,
 // This nails the off-by-one surface of GenerateVT's boundary conditions.
 
 TEST(XbExhaustiveTest, AllRangesOverSmallDomain) {
-  InMemoryPageStore store;
+  PageStore store;
   BufferPool pool(&store, 1024);
   xbtree::XbTreeOptions options;
   options.max_entries = 3;  // deep tree for 60 keys
@@ -201,7 +201,7 @@ TEST(XbExhaustiveTest, AllRangesOverSmallDomain) {
 }
 
 TEST(XbExhaustiveTest, DomainEdgeRanges) {
-  InMemoryPageStore store;
+  PageStore store;
   BufferPool pool(&store, 1024);
   auto tree = xbtree::XbTree::Create(&pool).ValueOrDie();
   constexpr uint32_t kMax = std::numeric_limits<uint32_t>::max();
@@ -222,7 +222,7 @@ TEST(XbExhaustiveTest, DomainEdgeRanges) {
 // of the XB-tree exhaustive sweep above, nailing boundary-path edge cases
 // (range before all keys, after all keys, between duplicates, full table).
 TEST(MbExhaustiveTest, AllRangesVerify) {
-  InMemoryPageStore store;
+  PageStore store;
   BufferPool pool(&store, 1024);
   storage::RecordCodec codec(40);
   mbtree::MbTreeOptions options;
@@ -278,7 +278,7 @@ TEST(MbExhaustiveTest, AllRangesVerify) {
 // fail cleanly or (for VOs) fail verification.
 
 TEST(FuzzTest, CorruptedVoNeverCrashes) {
-  InMemoryPageStore store;
+  PageStore store;
   BufferPool pool(&store, 512);
   storage::RecordCodec codec(64);
   mbtree::MbTreeOptions options;
@@ -377,8 +377,8 @@ TEST(FuzzTest, CorruptedMessagesNeverCrash) {
 // --- buffer pool stress ---------------------------------------------------------------
 
 TEST(BufferPoolStressTest, RandomWorkloadMatchesDirectStore) {
-  InMemoryPageStore pooled_store;
-  InMemoryPageStore direct_store;
+  PageStore pooled_store;
+  PageStore direct_store;
   BufferPool pool(&pooled_store, 8);  // tiny pool: constant eviction
   Rng rng(2024);
 

@@ -67,6 +67,14 @@ uint64_t NextRand(uint64_t* state) {
   return *state >> 33;
 }
 
+// Stages one record and waits until it is durable: how the tests below
+// forge a log record by record.
+Status StageAndCommit(storage::WriteAheadLog* wal,
+                      const std::vector<uint8_t>& payload) {
+  SAE_ASSIGN_OR_RETURN(uint64_t seq, wal->Stage(payload));
+  return wal->Commit(seq);
+}
+
 // Delta-link file name, as storage/snapshot.cc writes it.
 std::string DeltaFileName(uint64_t base, uint64_t epoch) {
   char buf[64];
@@ -336,7 +344,7 @@ void WriteWal(FaultFs* fs, const std::string& dir,
               const std::vector<std::vector<uint8_t>>& payloads) {
   auto wal = storage::WriteAheadLog::Open(fs, dir).ValueOrDie();
   for (const auto& payload : payloads) {
-    ASSERT_TRUE(wal->Append(payload).ok());
+    ASSERT_TRUE(StageAndCommit(wal.get(), payload).ok());
   }
 }
 
@@ -436,7 +444,7 @@ TEST(WalFuzz, CrcValidGarbageRecordEndsReplayAtOpen) {
   WriteWal(&fs, "/db", payloads);
   {
     auto wal = storage::WriteAheadLog::Open(&fs, "/db").ValueOrDie();
-    ASSERT_TRUE(wal->Append(garbage).ok());
+    ASSERT_TRUE(StageAndCommit(wal.get(), garbage).ok());
   }
   core::DurabilityOptions options;
   options.enabled = true;
@@ -457,11 +465,15 @@ TEST(WalSegments, RotateSealsAndDropRemovesOnlySealedSegments) {
   FaultFs fs;
   auto payloads = SampleWalPayloads(6);
   auto wal = storage::WriteAheadLog::Open(&fs, "/db").ValueOrDie();
-  for (size_t i = 0; i < 3; ++i) ASSERT_TRUE(wal->Append(payloads[i]).ok());
+  for (size_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(StageAndCommit(wal.get(), payloads[i]).ok());
+  }
   auto sealed = wal->Rotate();
   ASSERT_TRUE(sealed.ok());
   EXPECT_EQ(sealed.value(), 1u);
-  for (size_t i = 3; i < 6; ++i) ASSERT_TRUE(wal->Append(payloads[i]).ok());
+  for (size_t i = 3; i < 6; ++i) {
+    ASSERT_TRUE(StageAndCommit(wal.get(), payloads[i]).ok());
+  }
   ASSERT_TRUE(fs.Exists(FirstSegmentPath("/db")));
   ASSERT_TRUE(fs.Exists("/db/" + storage::WalSegmentName(2)));
   // Dropping through the sealed sequence removes segment 1 but never the
@@ -1067,7 +1079,7 @@ TEST(Recovery, AbortRecordDropsTheRetractedSuffixAtOpen) {
       update.op = op;
       update.epoch = epoch;
       if (op == WalUpdate::kInsert) update.record = codec.MakeRecord(id, 7);
-      EXPECT_TRUE(wal->Append(EncodeWalUpdate(update)).ok());
+      EXPECT_TRUE(StageAndCommit(wal.get(), EncodeWalUpdate(update)).ok());
     };
     append(WalUpdate::kInsert, 2, 11);
     append(WalUpdate::kInsert, 3, 12);

@@ -24,7 +24,7 @@ namespace {
 
 using core::Record;
 using storage::BufferPool;
-using storage::InMemoryPageStore;
+using storage::PageStore;
 using storage::RecordCodec;
 
 constexpr size_t kRecSize = 64;
@@ -94,7 +94,7 @@ class VoCraftTest : public ::testing::Test {
     }
   }
 
-  InMemoryPageStore store_;
+  PageStore store_;
   BufferPool pool_;
   RecordCodec codec_;
   std::unique_ptr<mbtree::MbTree> tree_;
@@ -900,7 +900,7 @@ TEST(SigChainCacheReplayTest, CachedVoReplayAfterEpochBumpIsStale) {
 TEST(VtAlgebraTest, DisjointRangesCompose) {
   // VT[a,c] = VT[a,b] ^ VT(b,c] — the XOR group structure GenerateVT
   // exploits. Checked through the public TE interface.
-  InMemoryPageStore store;
+  PageStore store;
   BufferPool pool(&store, 512);
   auto tree = xbtree::XbTree::Create(&pool).ValueOrDie();
   Rng rng(4242);

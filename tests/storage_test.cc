@@ -1,13 +1,11 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
-// Unit tests for src/storage: page stores (memory + file), buffer pool
-// pin/evict/flush semantics and access accounting, record codec, heap file.
+// Unit tests for src/storage: page store, buffer pool pin/evict/flush
+// semantics and access accounting, record codec, heap file.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <map>
-#include <string>
 
 #include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
@@ -18,111 +16,92 @@
 namespace sae::storage {
 namespace {
 
-// --- page stores (parameterized over both implementations) --------------------
+// --- page store ----------------------------------------------------------------
 
-enum class StoreKind { kMemory, kFile };
+// One instantiation, named Memory: it keeps the established case names
+// AllStores/PageStoreTest.*/Memory.
+enum class StoreKind { kMemory };
 
 class PageStoreTest : public ::testing::TestWithParam<StoreKind> {
  protected:
-  void SetUp() override {
-    if (GetParam() == StoreKind::kMemory) {
-      store_ = std::make_unique<InMemoryPageStore>();
-    } else {
-      path_ = ::testing::TempDir() + "/saedb_pagestore_test.bin";
-      auto r = FilePageStore::Create(path_);
-      ASSERT_TRUE(r.ok());
-      store_ = std::move(r).ValueOrDie();
-    }
-  }
-
-  void TearDown() override {
-    store_.reset();
-    if (!path_.empty()) std::remove(path_.c_str());
-  }
-
-  std::unique_ptr<PageStore> store_;
-  std::string path_;
+  PageStore store_;
 };
 
 TEST_P(PageStoreTest, AllocateReadWrite) {
-  auto id = store_->Allocate();
+  auto id = store_.Allocate();
   ASSERT_TRUE(id.ok());
   Page page;
   page.bytes()[0] = 0xAB;
   page.bytes()[kPageSize - 1] = 0xCD;
-  ASSERT_TRUE(store_->Write(id.value(), page).ok());
+  ASSERT_TRUE(store_.Write(id.value(), page).ok());
   Page read;
-  ASSERT_TRUE(store_->Read(id.value(), &read).ok());
+  ASSERT_TRUE(store_.Read(id.value(), &read).ok());
   EXPECT_EQ(read.bytes()[0], 0xAB);
   EXPECT_EQ(read.bytes()[kPageSize - 1], 0xCD);
 }
 
 TEST_P(PageStoreTest, FreshPagesAreZeroed) {
-  auto id = store_->Allocate();
+  auto id = store_.Allocate();
   ASSERT_TRUE(id.ok());
   Page read;
-  ASSERT_TRUE(store_->Read(id.value(), &read).ok());
+  ASSERT_TRUE(store_.Read(id.value(), &read).ok());
   for (size_t i = 0; i < kPageSize; i += 512) EXPECT_EQ(read.bytes()[i], 0);
 }
 
 TEST_P(PageStoreTest, FreeAndReuse) {
-  auto a = store_->Allocate();
-  auto b = store_->Allocate();
+  auto a = store_.Allocate();
+  auto b = store_.Allocate();
   ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(store_->LivePageCount(), 2u);
-  ASSERT_TRUE(store_->Free(a.value()).ok());
-  EXPECT_EQ(store_->LivePageCount(), 1u);
-  auto c = store_->Allocate();
+  EXPECT_EQ(store_.LivePageCount(), 2u);
+  ASSERT_TRUE(store_.Free(a.value()).ok());
+  EXPECT_EQ(store_.LivePageCount(), 1u);
+  auto c = store_.Allocate();
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(c.value(), a.value());  // freed id is recycled
-  EXPECT_EQ(store_->LivePageCount(), 2u);
+  EXPECT_EQ(store_.LivePageCount(), 2u);
 }
 
 TEST_P(PageStoreTest, AccessAfterFreeFails) {
-  auto id = store_->Allocate();
+  auto id = store_.Allocate();
   ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(store_->Free(id.value()).ok());
+  ASSERT_TRUE(store_.Free(id.value()).ok());
   Page page;
-  EXPECT_FALSE(store_->Read(id.value(), &page).ok());
-  EXPECT_FALSE(store_->Write(id.value(), page).ok());
-  EXPECT_FALSE(store_->Free(id.value()).ok());
+  EXPECT_FALSE(store_.Read(id.value(), &page).ok());
+  EXPECT_FALSE(store_.Write(id.value(), page).ok());
+  EXPECT_FALSE(store_.Free(id.value()).ok());
 }
 
 TEST_P(PageStoreTest, ReadUnallocatedFails) {
   Page page;
-  EXPECT_FALSE(store_->Read(1234, &page).ok());
+  EXPECT_FALSE(store_.Read(1234, &page).ok());
 }
 
 TEST_P(PageStoreTest, ManyPagesKeepDistinctContent) {
   constexpr int kPages = 64;
   std::vector<PageId> ids;
   for (int i = 0; i < kPages; ++i) {
-    auto id = store_->Allocate();
+    auto id = store_.Allocate();
     ASSERT_TRUE(id.ok());
     Page page;
     page.bytes()[7] = uint8_t(i);
-    ASSERT_TRUE(store_->Write(id.value(), page).ok());
+    ASSERT_TRUE(store_.Write(id.value(), page).ok());
     ids.push_back(id.value());
   }
   for (int i = 0; i < kPages; ++i) {
     Page page;
-    ASSERT_TRUE(store_->Read(ids[i], &page).ok());
+    ASSERT_TRUE(store_.Read(ids[i], &page).ok());
     EXPECT_EQ(page.bytes()[7], uint8_t(i));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStores, PageStoreTest,
-                         ::testing::Values(StoreKind::kMemory,
-                                           StoreKind::kFile),
-                         [](const auto& info) {
-                           return info.param == StoreKind::kMemory ? "Memory"
-                                                                   : "File";
-                         });
+                         ::testing::Values(StoreKind::kMemory),
+                         [](const auto&) { return "Memory"; });
 
 // --- buffer pool ---------------------------------------------------------------
 
 TEST(BufferPoolTest, FetchCountsAccessesAndMisses) {
-  InMemoryPageStore store;
+  PageStore store;
   BufferPool pool(&store, 8);
   auto page = pool.New();
   ASSERT_TRUE(page.ok());
@@ -139,7 +118,7 @@ TEST(BufferPoolTest, FetchCountsAccessesAndMisses) {
 }
 
 TEST(BufferPoolTest, WritesSurviveEviction) {
-  InMemoryPageStore store;
+  PageStore store;
   BufferPool pool(&store, 4);
   std::vector<PageId> ids;
   for (int i = 0; i < 16; ++i) {
@@ -158,7 +137,7 @@ TEST(BufferPoolTest, WritesSurviveEviction) {
 }
 
 TEST(BufferPoolTest, PinnedPagesAreNotEvicted) {
-  InMemoryPageStore store;
+  PageStore store;
   BufferPool pool(&store, 4);
   auto pinned = pool.New();
   ASSERT_TRUE(pinned.ok());
@@ -173,7 +152,7 @@ TEST(BufferPoolTest, PinnedPagesAreNotEvicted) {
 }
 
 TEST(BufferPoolTest, AllPinnedReportsError) {
-  InMemoryPageStore store;
+  PageStore store;
   BufferPool pool(&store, 4);
   std::vector<BufferPool::PageRef> refs;
   for (int i = 0; i < 4; ++i) {
@@ -187,7 +166,7 @@ TEST(BufferPoolTest, AllPinnedReportsError) {
 }
 
 TEST(BufferPoolTest, FlushAllPersistsDirtyFrames) {
-  InMemoryPageStore store;
+  PageStore store;
   PageId id;
   {
     BufferPool pool(&store, 4);
@@ -208,7 +187,7 @@ TEST(BufferPoolTest, FlushAllPersistsDirtyFrames) {
 }
 
 TEST(BufferPoolTest, FreeDropsCachedFrame) {
-  InMemoryPageStore store;
+  PageStore store;
   BufferPool pool(&store, 4);
   auto ref = pool.New();
   ASSERT_TRUE(ref.ok());
@@ -220,7 +199,7 @@ TEST(BufferPoolTest, FreeDropsCachedFrame) {
 }
 
 TEST(BufferPoolTest, FreePinnedPageFails) {
-  InMemoryPageStore store;
+  PageStore store;
   BufferPool pool(&store, 4);
   auto ref = pool.New();
   ASSERT_TRUE(ref.ok());
@@ -269,7 +248,7 @@ class HeapFileTest : public ::testing::Test {
  protected:
   HeapFileTest() : pool_(&store_, 64), heap_(&pool_, 500) {}
 
-  InMemoryPageStore store_;
+  PageStore store_;
   BufferPool pool_;
   HeapFile heap_;
   RecordCodec codec_{500};
@@ -366,7 +345,7 @@ TEST_F(HeapFileTest, ScanVisitsExactlyLiveRecords) {
 }
 
 TEST(HeapFileSmallRecordTest, BitmapLimitsSlots) {
-  InMemoryPageStore store;
+  PageStore store;
   BufferPool pool(&store, 16);
   HeapFile heap(&pool, 22);  // smallest supported record
   // Slots are capped by the 24-byte bitmap (192 slots).
@@ -375,7 +354,7 @@ TEST(HeapFileSmallRecordTest, BitmapLimitsSlots) {
 }
 
 TEST(HeapFileStressTest, RandomInsertDeleteAgainstModel) {
-  InMemoryPageStore store;
+  PageStore store;
   BufferPool pool(&store, 64);
   RecordCodec codec(100);
   HeapFile heap(&pool, 100);

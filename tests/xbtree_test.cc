@@ -17,7 +17,7 @@ namespace sae::xbtree {
 namespace {
 
 using storage::BufferPool;
-using storage::InMemoryPageStore;
+using storage::PageStore;
 
 crypto::Digest DigestFor(uint64_t id) {
   return crypto::ComputeDigest(&id, sizeof(id));
@@ -69,7 +69,7 @@ class XbFixture : public ::testing::Test {
         << "range [" << lo << ", " << hi << "]";
   }
 
-  InMemoryPageStore store_;
+  PageStore store_;
   BufferPool pool_;
   std::unique_ptr<XbTree> tree_;
   std::multimap<uint32_t, uint64_t> model_;
@@ -276,7 +276,7 @@ TEST_F(XbFixture, VtGenerationTouchesLogarithmicNodes) {
 class XbRandomizedTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(XbRandomizedTest, VtAlwaysMatchesBruteForce) {
-  InMemoryPageStore store;
+  PageStore store;
   BufferPool pool(&store, 2048);
   XbTreeOptions options;
   options.max_entries = 5;
