@@ -10,7 +10,10 @@
 //      durability off vs on; the ratio is the write-path tax of
 //      sync-before-apply.
 //   2. recovery    — Recover() wall time as a function of the WAL tail
-//      length replayed (snapshot cadence disabled past the baseline).
+//      length replayed (snapshot cadence disabled past the baseline), for
+//      SAE and TOM, split into its phases: snapshot decode + WAL scan,
+//      restore, digest-XOR check, tail replay, and the final
+//      authentication (TOM's one root signature).
 //   3. cadence     — the snapshot_interval trade, swept for both chain
 //      shapes (full snapshots only, full_snapshot_every = 1, vs delta
 //      links): update throughput against the recovery time the resulting
@@ -30,6 +33,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "fig_common.h"
@@ -39,6 +43,7 @@ namespace sae::bench {
 namespace {
 
 using core::SaeSystem;
+using core::TomSystem;
 using storage::FaultFs;
 
 constexpr uint32_t kExtent = uint32_t(kDomainMax * kQueryExtent);
@@ -51,9 +56,10 @@ double NowMs() {
 
 /// `full` makes every checkpoint a full snapshot (full_snapshot_every = 1);
 /// otherwise the default delta chain runs.
-SaeSystem::Options Options(FaultFs* fs, uint64_t snapshot_interval,
-                           bool full = false) {
-  SaeSystem::Options options;
+template <typename System = SaeSystem>
+typename System::Options Options(FaultFs* fs, uint64_t snapshot_interval,
+                                 bool full = false) {
+  typename System::Options options;
   options.record_size = kRecordSize;
   if (fs != nullptr) {
     options.durability.enabled = true;
@@ -79,6 +85,60 @@ void PrintDurabilityStats(const core::DurabilityStats& stats,
       (unsigned long long)stats.delta_chain_length,
       double(stats.checkpoint_bytes_total) / 1024.0,
       double(stats.last_checkpoint_bytes) / 1024.0, stats.last_checkpoint_ms);
+}
+
+/// Loads `records`, applies `tail` inserts with only the baseline snapshot
+/// on disk, cuts the power and recovers: Recover() replays exactly `tail`
+/// WAL records. Prints the wall time and its phases; records the wall
+/// time in `json`.
+template <typename System>
+void RecoverTail(const std::vector<storage::Record>& records, size_t tail,
+                 BenchJson* json) {
+  FaultFs fs;
+  uint64_t next_id = records.size() + 1;
+  {
+    System system(Options<System>(&fs, 0));
+    SAE_CHECK_OK(system.Load(records));
+    const storage::RecordCodec& codec = system.codec();
+    for (size_t i = 0; i < tail; ++i) {
+      SAE_CHECK_OK(system.Insert(
+          codec.MakeRecord(next_id++, uint32_t(i % kDomainMax))));
+    }
+  }
+  fs.DropVolatile();
+  double start = NowMs();
+  auto recovered = System::Recover(Options<System>(&fs, 0));
+  double recovery_ms = NowMs() - start;
+  SAE_CHECK_OK(recovered.status());
+  SAE_CHECK(recovered.value()->epoch() == 1 + tail);
+  constexpr bool kTom = std::is_same_v<System, TomSystem>;
+  if constexpr (kTom) {
+    // One root signature however long the tail: replay applies unsigned.
+    SAE_CHECK(recovered.value()->owner().signatures() == 1);
+  }
+  const core::RecoveryStats& phases = recovered.value()->recovery_stats();
+  SAE_CHECK(phases.replayed == tail);
+  const double replay_us_per_record =
+      tail > 0 ? phases.replay_ms * 1000.0 / double(tail) : 0.0;
+  std::printf(
+      "recovery model=%-3s tail=%-5zu %8.2f ms  (open %.2f, restore %.2f, "
+      "check %.2f, replay %.2f = %.1f us/rec, sign %.2f)\n",
+      kTom ? "tom" : "sae", tail, recovery_ms, phases.open_ms,
+      phases.restore_ms, phases.check_ms, phases.replay_ms,
+      replay_us_per_record, phases.sign_ms);
+  // SAE rows keep their original labels, so baselines stay comparable.
+  // The phases are printed only: sub-millisecond values would make the
+  // perf gate's relative threshold fire on noise.
+  const std::string wal_records = std::to_string(tail);
+  if (kTom) {
+    json->Row({{"section", "recovery"},
+               {"model", "tom"},
+               {"wal_records", wal_records}},
+              {{"recovery_ms", recovery_ms}});
+  } else {
+    json->Row({{"section", "recovery"}, {"wal_records", wal_records}},
+              {{"recovery_ms", recovery_ms}});
+  }
 }
 
 /// Runs `ops` operations, every 10th an insert (the paper's read-mostly
@@ -158,27 +218,8 @@ int main() {
   // snapshot_interval=0: only the baseline snapshot exists, so recovery
   // replays exactly `tail` records.
   for (size_t tail : {size_t(0), size_t(64), size_t(256), size_t(1024)}) {
-    FaultFs fs;
-    uint64_t next_id = n + 1;
-    {
-      SaeSystem system(Options(&fs, 0));
-      SAE_CHECK_OK(system.Load(records));
-      const storage::RecordCodec& codec = system.codec();
-      for (size_t i = 0; i < tail; ++i) {
-        SAE_CHECK_OK(system.Insert(
-            codec.MakeRecord(next_id++, uint32_t(i % kDomainMax))));
-      }
-    }
-    fs.DropVolatile();
-    double start = NowMs();
-    auto recovered = SaeSystem::Recover(Options(&fs, 0));
-    double recovery_ms = NowMs() - start;
-    SAE_CHECK_OK(recovered.status());
-    SAE_CHECK(recovered.value()->epoch() == 1 + tail);
-    std::printf("recovery tail=%-5zu %8.2f ms\n", tail, recovery_ms);
-    json.Row({{"section", "recovery"},
-              {"wal_records", std::to_string(tail)}},
-             {{"recovery_ms", recovery_ms}});
+    RecoverTail<SaeSystem>(records, tail, &json);
+    RecoverTail<TomSystem>(records, tail, &json);
   }
 
   // --- 3. snapshot cadence sweep, full vs delta ---------------------------

@@ -233,22 +233,25 @@ Result<std::unique_ptr<TomSystem>> TomSystem::Recover(const Options& options) {
   return system;
 }
 
-Status TomSystem::LoadRecords(const std::vector<Record>& records, bool ship) {
+Status TomSystem::Outsource(const std::vector<Record>& records) {
   std::vector<Record> sorted = SortByKey(records);
   SAE_RETURN_NOT_OK(owner_.LoadDataset(sorted));
-  if (ship) {
-    do_sp_.Send(SerializeRecords(sorted, codec_));
-    do_sp_.Send(SerializeSignature(owner_.signature(), owner_.epoch()));
-  }
+  do_sp_.Send(SerializeRecords(sorted, codec_));
+  do_sp_.Send(SerializeSignature(owner_.signature(), owner_.epoch()));
   return sp_.LoadDataset(sorted, owner_.signature(), owner_.epoch());
 }
 
 Status TomSystem::Restore(const std::vector<Record>& records,
                           uint64_t epoch) {
-  SAE_RETURN_NOT_OK(LoadRecords(records, /*ship=*/false));
-  SAE_RETURN_NOT_OK(owner_.RestoreEpoch(epoch));
+  // Local disk, unsigned: AuthenticateRecovered signs after the WAL tail.
+  std::vector<Record> sorted = SortByKey(records);
+  SAE_RETURN_NOT_OK(owner_.RestoreDataset(sorted, epoch));
+  return sp_.LoadDataset(sorted, owner_.signature(), epoch);
+}
+
+void TomSystem::AuthenticateRecovered() {
+  owner_.Sign();
   sp_.SetSignature(owner_.signature(), owner_.epoch());
-  return Status::OK();
 }
 
 size_t TomSystem::ShipWithSignature(const std::vector<uint8_t>& message) {
@@ -260,7 +263,7 @@ size_t TomSystem::ShipWithSignature(const std::vector<uint8_t>& message) {
 }
 
 Result<size_t> TomSystem::ApplyInsert(const Record& record, bool replay) {
-  SAE_RETURN_NOT_OK(owner_.InsertRecord(record));
+  SAE_RETURN_NOT_OK(owner_.InsertRecord(record, /*sign=*/!replay));
   size_t auth_bytes =
       replay ? 0 : ShipWithSignature(SerializeRecords({record}, codec_));
   SAE_RETURN_NOT_OK(
@@ -269,7 +272,7 @@ Result<size_t> TomSystem::ApplyInsert(const Record& record, bool replay) {
 }
 
 Result<size_t> TomSystem::ApplyDelete(RecordId id, bool replay) {
-  SAE_RETURN_NOT_OK(owner_.DeleteRecord(id));
+  SAE_RETURN_NOT_OK(owner_.DeleteRecord(id, /*sign=*/!replay));
   size_t auth_bytes =
       replay ? 0 : ShipWithSignature(SerializeDelete(id, 0));
   SAE_RETURN_NOT_OK(sp_.ApplyDelete(id, owner_.signature(), owner_.epoch()));

@@ -202,6 +202,11 @@ class SaeSystem : private UpdatePolicy {
     return pipeline_.durability_stats();
   }
 
+  /// Phase timings of the Recover() that built this system.
+  const RecoveryStats& recovery_stats() const {
+    return pipeline_.recovery_stats();
+  }
+
   /// Blocks until every captured checkpoint is durable; returns the first
   /// checkpoint failure since the last wait. Call without holding a query
   /// open on this thread.
@@ -218,6 +223,7 @@ class SaeSystem : private UpdatePolicy {
   Status Restore(const std::vector<Record>& records, uint64_t epoch) override;
   Result<size_t> ApplyInsert(const Record& record, bool replay) override;
   Result<size_t> ApplyDelete(RecordId id, bool replay) override;
+  void AuthenticateRecovered() override {}
   uint64_t ShippedBytes() const override {
     return do_sp_.total_bytes() + do_te_.total_bytes();
   }
@@ -310,8 +316,8 @@ class TomSystem : private UpdatePolicy {
   }
 
   /// Rebuilds a system from its durability directory after a crash (see
-  /// SaeSystem::Recover); the owner re-signs the recovered root at the
-  /// snapshot epoch.
+  /// SaeSystem::Recover); the owner signs the recovered root once, at the
+  /// recovered epoch, after the WAL tail.
   static Result<std::unique_ptr<TomSystem>> Recover(const Options& options);
 
   struct QueryOutcome {
@@ -381,6 +387,11 @@ class TomSystem : private UpdatePolicy {
     return pipeline_.durability_stats();
   }
 
+  /// Phase timings of the Recover() that built this system.
+  const RecoveryStats& recovery_stats() const {
+    return pipeline_.recovery_stats();
+  }
+
   /// Blocks until every captured checkpoint is durable; returns the first
   /// checkpoint failure since the last wait.
   Status WaitForCheckpoints() { return pipeline_.WaitForCheckpoints(); }
@@ -388,15 +399,15 @@ class TomSystem : private UpdatePolicy {
  private:
   // UpdatePolicy: updates travel DO -> SP with a re-signed root; the
   // owner keeps the digest XOR. Recovery, WAL replay included, reads local
-  // disk and ships nothing.
+  // disk and ships nothing; it restores and replays unsigned, then signs
+  // the recovered root once.
   uint64_t OwnerEpoch() const override { return owner_.epoch(); }
   bool HasRecord(RecordId id) const override { return owner_.HasRecord(id); }
-  Status Outsource(const std::vector<Record>& records) override {
-    return LoadRecords(records, /*ship=*/true);
-  }
+  Status Outsource(const std::vector<Record>& records) override;
   Status Restore(const std::vector<Record>& records, uint64_t epoch) override;
   Result<size_t> ApplyInsert(const Record& record, bool replay) override;
   Result<size_t> ApplyDelete(RecordId id, bool replay) override;
+  void AuthenticateRecovered() override;
   uint64_t ShippedBytes() const override { return do_sp_.total_bytes(); }
   Result<std::vector<Record>> CaptureRecords() const override;
   Result<crypto::Digest> DigestXor() const override {
@@ -405,9 +416,6 @@ class TomSystem : private UpdatePolicy {
   void BeforeFirstUpdate() override;
 
   const TomServiceProvider* StaleSp();
-  /// Loads the dataset into owner and SP; `ship` meters the DO->SP channel
-  /// (recovery reads local disk, nothing crosses the network).
-  Status LoadRecords(const std::vector<Record>& records, bool ship);
   /// Ships one update's `message` plus the new root signature to the SP;
   /// returns the signature message's size.
   size_t ShipWithSignature(const std::vector<uint8_t>& message);

@@ -27,22 +27,24 @@ TomDataOwner::TomDataOwner(const Options& options)
   mb_ = std::move(tree).ValueOrDie();
 }
 
-Status TomDataOwner::Resign() {
+void TomDataOwner::Sign() {
   // Epoch-stamped root signature: binds the signature to the update epoch
   // so replayed pre-update roots are detectable (freshness).
   signature_ = crypto::RsaSignDigest(
       key_,
       crypto::EpochStampedDigest(mb_->root_digest(), epoch_,
                                  options_.scheme));
-  return Status::OK();
-}
-
-Status TomDataOwner::RestoreEpoch(uint64_t epoch) {
-  epoch_ = epoch;
-  return Resign();
+  ++signatures_;
 }
 
 Status TomDataOwner::LoadDataset(const std::vector<Record>& sorted) {
+  SAE_RETURN_NOT_OK(RestoreDataset(sorted, 1));  // outsourcing is epoch 1
+  Sign();
+  return Status::OK();
+}
+
+Status TomDataOwner::RestoreDataset(const std::vector<Record>& sorted,
+                                    uint64_t epoch) {
   std::vector<crypto::Digest> digests =
       storage::DigestRecords(sorted, codec_, options_.scheme);
   std::vector<mbtree::MbEntry> entries;
@@ -56,11 +58,11 @@ Status TomDataOwner::LoadDataset(const std::vector<Record>& sorted) {
     digest_xor_ ^= digests[i];
   }
   SAE_RETURN_NOT_OK(mb_->BulkLoad(entries));
-  epoch_ = 1;  // the initial outsourcing is epoch 1
-  return Resign();
+  epoch_ = epoch;
+  return Status::OK();
 }
 
-Status TomDataOwner::InsertRecord(const Record& record) {
+Status TomDataOwner::InsertRecord(const Record& record, bool sign) {
   if (key_of_id_.count(record.id) > 0) {
     return Status::AlreadyExists("record id already present");
   }
@@ -72,10 +74,11 @@ Status TomDataOwner::InsertRecord(const Record& record) {
   key_of_id_[record.id] = record.key;
   digest_xor_ ^= entry.digest;
   ++epoch_;
-  return Resign();
+  if (sign) Sign();
+  return Status::OK();
 }
 
-Status TomDataOwner::DeleteRecord(RecordId id) {
+Status TomDataOwner::DeleteRecord(RecordId id, bool sign) {
   auto it = key_of_id_.find(id);
   if (it == key_of_id_.end()) {
     return Status::NotFound("no record with this id");
@@ -85,7 +88,8 @@ Status TomDataOwner::DeleteRecord(RecordId id) {
   key_of_id_.erase(it);
   digest_xor_ ^= removed;
   ++epoch_;
-  return Resign();
+  if (sign) Sign();
+  return Status::OK();
 }
 
 // --- TomServiceProvider ---------------------------------------------------------

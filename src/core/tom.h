@@ -53,11 +53,24 @@ class TomDataOwner {
   /// at epoch 1.
   Status LoadDataset(const std::vector<Record>& sorted);
 
-  Status InsertRecord(const Record& record);
-  Status DeleteRecord(RecordId id);
+  /// Recovery: builds the local ADS over checkpointed (key-sorted) records
+  /// at `epoch` WITHOUT signing; Sign() once the WAL tail is replayed.
+  Status RestoreDataset(const std::vector<Record>& sorted, uint64_t epoch);
+
+  /// Applies one update to the local ADS and bumps the epoch. `sign`
+  /// re-signs the root at the new epoch, as every published epoch needs;
+  /// recovery's WAL replay passes false, since no replayed epoch is ever
+  /// published, and signs once after the tail.
+  Status InsertRecord(const Record& record, bool sign = true);
+  Status DeleteRecord(RecordId id, bool sign = true);
+
+  /// Signs the current root at the current epoch.
+  void Sign();
 
   crypto::RsaPublicKey public_key() const { return key_.PublicKey(); }
   const crypto::RsaSignature& signature() const { return signature_; }
+  /// RSA signatures made so far.
+  uint64_t signatures() const { return signatures_; }
 
   /// The latest published epoch (1 at load, +1 per update) — the client's
   /// freshness reference. Guarded by the owning system's reader-writer
@@ -68,11 +81,6 @@ class TomDataOwner {
   /// pre-validates updates with this before logging them.
   bool HasRecord(RecordId id) const { return key_of_id_.count(id) > 0; }
 
-  /// Recovery: rewinds the epoch to `epoch` (the snapshot's) after a
-  /// fresh LoadDataset of the snapshot records, and re-signs the root
-  /// under it.
-  Status RestoreEpoch(uint64_t epoch);
-
   /// XOR of the digests of every record in the ADS, kept in O(1) per
   /// update from the digests the ADS maintenance computes anyway.
   const crypto::Digest& digest_xor() const { return digest_xor_; }
@@ -82,8 +90,6 @@ class TomDataOwner {
   const mbtree::MbTree& ads() const { return *mb_; }
 
  private:
-  Status Resign();
-
   Options options_;
   RecordCodec codec_;
   crypto::RsaPrivateKey key_;
@@ -92,6 +98,7 @@ class TomDataOwner {
   std::unique_ptr<mbtree::MbTree> mb_;
   std::map<RecordId, Key> key_of_id_;  // master-copy view for deletions
   crypto::RsaSignature signature_;
+  uint64_t signatures_ = 0;
   crypto::Digest digest_xor_;
   uint64_t epoch_ = 0;
 };

@@ -50,8 +50,16 @@ Status UpdatePipeline::Load(const std::vector<Record>& records) {
 
 Status UpdatePipeline::Recover() {
   std::unique_lock<std::shared_mutex> lock(mu_);
+  RecoveryStats timing;
+  sim::Stopwatch watch;
+  auto lap = [&watch] {
+    const double ms = watch.ElapsedMs();
+    watch.Restart();
+    return ms;
+  };
   SAE_ASSIGN_OR_RETURN(std::unique_ptr<DurabilityManager> mgr,
                        DurabilityManager::Open(durability_options_));
+  timing.open_ms = lap();
   const DurabilityManager::Recovered& rec = mgr->recovered();
   if (!rec.has_snapshot) {
     return Status::NotFound("no durable snapshot to recover from");
@@ -65,6 +73,7 @@ Status UpdatePipeline::Recover() {
   }
   SAE_RETURN_NOT_OK(
       policy_->Restore(rec.snapshot.records, rec.snapshot_epoch));
+  timing.restore_ms = lap();
   // The rebuilt parties must commit to exactly the checkpointed records
   // before any client sees them.
   SAE_ASSIGN_OR_RETURN(crypto::Digest rebuilt, policy_->DigestXor());
@@ -72,6 +81,7 @@ Status UpdatePipeline::Recover() {
     return Status::Corruption(
         "recovered records do not match the snapshot digest");
   }
+  timing.check_ms = lap();
   // Replay the WAL tail through the normal apply path. Records at or below
   // the snapshot epoch are already inside it (a crash can land between the
   // snapshot rename and the WAL segment drop); later records must chain
@@ -88,9 +98,17 @@ Status UpdatePipeline::Recover() {
       return Status::Corruption("wal replay failed: " +
                                 applied.status().message());
     }
+    ++timing.replayed;
   }
+  timing.replay_ms = lap();
+  // Authenticate once, after the tail: the unique lock is held and nothing
+  // is published before PublishLocked below, so no client can observe a
+  // replayed epoch, and replay itself never reads a signature.
+  policy_->AuthenticateRecovered();
+  timing.sign_ms = lap();
   PublishLocked();
   durability_ = std::move(mgr);
+  recovery_stats_ = timing;
   return Status::OK();
 }
 

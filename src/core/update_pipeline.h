@@ -64,6 +64,16 @@ struct UpdateStats {
   double latency_ms = 0.0;      ///< summed wall time in the writer section
 };
 
+/// Where one Recover() spent its wall time, phase by phase.
+struct RecoveryStats {
+  double open_ms = 0.0;     ///< snapshot chain decode + WAL scan
+  double restore_ms = 0.0;  ///< rebuilding the parties from the snapshot
+  double check_ms = 0.0;    ///< digest-XOR check against the snapshot
+  double replay_ms = 0.0;   ///< applying the WAL tail
+  double sign_ms = 0.0;     ///< AuthenticateRecovered (TOM: one signature)
+  uint64_t replayed = 0;    ///< WAL tail records applied
+};
+
 /// What one outsourcing model supplies to the pipeline. Every call runs
 /// under the pipeline's unique lock.
 class UpdatePolicy {
@@ -75,16 +85,23 @@ class UpdatePolicy {
   /// Outsources `records` to the parties as epoch 1.
   virtual Status Outsource(const std::vector<Record>& records) = 0;
   /// Recovery: rebuilds the parties from checkpointed `records` and rewinds
-  /// them to `epoch`.
+  /// them to `epoch`. Authentication may be left stale until
+  /// AuthenticateRecovered.
   virtual Status Restore(const std::vector<Record>& records,
                          uint64_t epoch) = 0;
   /// Apply one update through the owner to every party, bumping the epoch;
   /// return the authentication bytes shipped with it. `replay` marks a WAL
   /// record re-applied by Recover: the update crossed the network before
   /// the crash, so a model that restores from local disk ships (and
-  /// returns) nothing for it.
+  /// returns) nothing for it, and its epoch is never published, so the
+  /// apply need not refresh authentication (TOM does not sign it).
   virtual Result<size_t> ApplyInsert(const Record& record, bool replay) = 0;
   virtual Result<size_t> ApplyDelete(RecordId id, bool replay) = 0;
+  /// Recovery, after the WAL tail and before the recovered epoch is
+  /// published: authenticates the recovered state once (TOM signs its root
+  /// at the recovered epoch; SAE's epoch notices already reached its
+  /// parties during Restore and replay, so it has nothing to do).
+  virtual void AuthenticateRecovered() = 0;
   /// Bytes the owner has shipped so far, over all its channels.
   virtual uint64_t ShippedBytes() const = 0;
   /// The full dataset in key order (full checkpoints).
@@ -113,9 +130,10 @@ class UpdatePipeline {
   /// Rebuilds the system from its durability directory after a crash:
   /// restores the newest intact snapshot chain, checks the rebuilt digest
   /// XOR against the persisted one, replays the WAL tail past the chain
-  /// epoch through the normal apply path, and republishes. kNotFound when
-  /// no valid snapshot exists; kCorruption when the disk contradicts
-  /// itself or this system's configuration.
+  /// epoch through the normal apply path, authenticates the result once
+  /// and republishes. kNotFound when no valid snapshot exists;
+  /// kCorruption when the disk contradicts itself or this system's
+  /// configuration.
   Status Recover();
 
   /// The write-ahead update pipeline; returns the epoch the update
@@ -134,6 +152,10 @@ class UpdatePipeline {
   }
 
   UpdateStats stats() const;
+
+  /// Phase timings of the Recover() that built this system (zeroed when
+  /// it was loaded instead).
+  const RecoveryStats& recovery_stats() const { return recovery_stats_; }
 
   /// Attached durability manager; nullptr when durability is off.
   DurabilityManager* durability() { return durability_.get(); }
@@ -169,6 +191,7 @@ class UpdatePipeline {
   mutable std::shared_mutex mu_;
   std::atomic<uint64_t> published_epoch_{0};
   UpdateStats stats_;
+  RecoveryStats recovery_stats_;  // written once, by Recover
   bool first_update_seen_ = false;
 
   // Group-commit state, written under the unique lock (see the header

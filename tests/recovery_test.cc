@@ -18,7 +18,9 @@
 // snapshot atomicity/fallback checks including a corrupt middle delta
 // link, the rollback adversary (an SP restored from an older durable
 // chain is rejected by the unmodified client freshness gate as
-// kStaleEpoch), and a concurrency suite driving many writers through the
+// kStaleEpoch), TOM's single recovery signature checked byte for byte
+// against live signing, a WAL tail that fails to replay rejected as
+// kCorruption, and a concurrency suite driving many writers through the
 // group-commit pipeline (also the TSan CI target).
 
 #include <gtest/gtest.h>
@@ -810,6 +812,140 @@ TEST(Recovery, TomWalReplayShipsNothing) {
   EXPECT_EQ(recovered.value()->epoch(), 6u);
   EXPECT_EQ(recovered.value()->do_sp_channel().total_bytes(), 0u);
   VerifySweep(recovered.value().get());
+}
+
+// --- TOM recovery signs once -------------------------------------------------
+
+// ~200 mixed updates over SeedDataset(codec, 100): every fourth deletes a
+// seed record, the rest insert at pseudo-random keys, so the MB-tree's
+// shape depends on the whole update history.
+template <typename System>
+void ApplyMixedTail(System* system, const RecordCodec& codec) {
+  uint64_t rng = 0x5167;
+  for (int i = 0; i < 200; ++i) {
+    Status st = i % 4 == 3
+                    ? system->Delete(RecordId(i / 4 + 1))
+                    : system->Insert(codec.MakeRecord(
+                          RecordId(1000 + i), Key(NextRand(&rng) % 1000)));
+    ASSERT_TRUE(st.ok()) << st.message();
+  }
+}
+
+// The signature the owner holds and the one the SP serves must both be
+// `live`, the owner must have made exactly one signature since recovery
+// began, and the recovered system must answer verifiably.
+void ExpectSignedOnceAs(TomSystem* system, const crypto::RsaSignature& live) {
+  EXPECT_EQ(system->owner().signature(), live);
+  EXPECT_EQ(system->owner().signatures(), 1u);
+  auto served = system->sp().ExecuteRange(kMinKey, kMaxKey);
+  ASSERT_TRUE(served.ok()) << served.status().message();
+  EXPECT_EQ(served.value().vo.signature, live);
+  VerifySweep(system);
+}
+
+// Recovery replays the WAL tail unsigned and signs the recovered root
+// once. Replaying the whole tail over the bulk-loaded baseline rebuilds
+// the live tree's shape and RSA PKCS#1 v1.5 is deterministic, so that one
+// signature equals, byte for byte, the one live signing published last.
+void CheckRecoveredSignatureIsLiveSignature(crypto::HashScheme scheme) {
+  RecordCodec codec(kRecordSize);
+  FaultFs fs;
+  auto options = DurableOptions<TomSystem>(scheme, &fs, "/db");
+  options.durability.snapshot_interval = 0;  // the tail is every update
+  crypto::RsaSignature live;
+  {
+    TomSystem system(options);
+    ASSERT_TRUE(system.Load(SeedDataset(codec, 100)).ok());
+    ApplyMixedTail(&system, codec);
+    ASSERT_EQ(system.epoch(), 201u);
+    live = system.owner().signature();
+  }
+  fs.DropVolatile();
+  auto recovered = TomSystem::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  EXPECT_EQ(recovered.value()->epoch(), 201u);
+  EXPECT_EQ(recovered.value()->recovery_stats().replayed, 200u);
+  ExpectSignedOnceAs(recovered.value().get(), live);
+}
+
+TEST(Recovery, TomSha1RecoveredSignatureIsTheLiveSignature) {
+  CheckRecoveredSignatureIsLiveSignature(crypto::HashScheme::kSha1);
+}
+
+TEST(Recovery, TomSha256RecoveredSignatureIsTheLiveSignature) {
+  CheckRecoveredSignatureIsLiveSignature(crypto::HashScheme::kSha256Trunc);
+}
+
+TEST(Recovery, ShardedTomRecoveredSignaturesAreTheLiveSignatures) {
+  RecordCodec codec(kRecordSize);
+  FaultFs fs;
+  core::ShardedTomSystem::Options options;
+  options.base =
+      DurableOptions<TomSystem>(crypto::HashScheme::kSha1, &fs, "/db");
+  options.base.durability.snapshot_interval = 0;
+  core::ShardRouter router({500});  // 2 shards
+  crypto::RsaSignature live[2];
+  {
+    core::ShardedTomSystem system(router, options);
+    ASSERT_TRUE(system.Load(SeedDataset(codec, 100)).ok());
+    ApplyMixedTail(&system, codec);
+    for (size_t s = 0; s < 2; ++s) {
+      ASSERT_GT(system.shard(s).epoch(), 1u);  // both shards have a tail
+      live[s] = system.shard(s).owner().signature();
+    }
+  }
+  fs.DropVolatile();
+  auto recovered = core::ShardedTomSystem::Recover(router, options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  for (size_t s = 0; s < 2; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    ExpectSignedOnceAs(&recovered.value()->shard(s), live[s]);
+  }
+  VerifySweep(recovered.value().get());
+}
+
+// A WAL tail whose middle record cannot apply (it deletes an id that is
+// not there) is corruption, whatever the model does about authentication
+// during replay: deferring TOM's signature must not hide a bad tail.
+template <typename System>
+void CheckFailingReplayIsCorruption() {
+  RecordCodec codec(kRecordSize);
+  FaultFs fs;
+  auto options = DurableOptions<System>(crypto::HashScheme::kSha1, &fs, "/db");
+  options.durability.snapshot_interval = 0;
+  {
+    System system(options);
+    ASSERT_TRUE(system.Load(SeedDataset(codec, 10)).ok());
+    ASSERT_TRUE(system.Insert(codec.MakeRecord(RecordId(100), Key(7))).ok());
+  }
+  {
+    auto wal = storage::WriteAheadLog::Open(&fs, "/db").ValueOrDie();
+    WalUpdate absent;  // epoch 3: no record 9999 was ever loaded
+    absent.op = WalUpdate::kDelete;
+    absent.epoch = 3;
+    absent.id = RecordId(9999);
+    ASSERT_TRUE(StageAndCommit(wal.get(), EncodeWalUpdate(absent)).ok());
+    WalUpdate after;  // epoch 4: a well-formed record past the bad one
+    after.op = WalUpdate::kInsert;
+    after.epoch = 4;
+    after.record = codec.MakeRecord(RecordId(101), Key(8));
+    ASSERT_TRUE(StageAndCommit(wal.get(), EncodeWalUpdate(after)).ok());
+  }
+  fs.DropVolatile();
+  auto recovered = System::Recover(options);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(recovered.status().message().find("wal replay failed"),
+            std::string::npos)
+      << recovered.status().message();
+}
+
+TEST(Recovery, SaeFailingWalReplayIsCorruption) {
+  CheckFailingReplayIsCorruption<SaeSystem>();
+}
+
+TEST(Recovery, TomFailingWalReplayIsCorruption) {
+  CheckFailingReplayIsCorruption<TomSystem>();
 }
 
 // --- rollback adversary ------------------------------------------------------

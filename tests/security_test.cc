@@ -72,7 +72,7 @@ class VoCraftTest : public ::testing::Test {
   }
 
   // Signs the current root for the given epoch — the stamped commitment,
-  // exactly as TomDataOwner::Resign does.
+  // exactly as TomDataOwner::Sign does.
   mbtree::VerificationObject SignedVo(uint32_t lo, uint32_t hi,
                                       uint64_t epoch = 0) {
     auto vo = tree_->BuildVo(lo, hi, Fetcher()).ValueOrDie();
