@@ -7,8 +7,8 @@
 // latency, and stay deterministic across CI runners:
 //
 //   1. wal_overhead — a 90/10 query/update schedule on the SAE system,
-//      durability off vs on; the ratio is the write-path tax of
-//      sync-before-apply.
+//      durability off vs on, five alternating trials per side; the ratio
+//      of the medians is the write-path tax of sync-before-apply.
 //   2. recovery    — Recover() wall time as a function of the WAL tail
 //      length replayed (snapshot cadence disabled past the baseline), for
 //      SAE and TOM, split into its phases: snapshot decode + WAL scan,
@@ -191,23 +191,42 @@ int main() {
               "# section config metric");
 
   // --- 1. WAL overhead on the 90/10 mix -----------------------------------
+  // One trial per side is noise-bound (single trials read anywhere from -2%
+  // to +19%), so each side runs kTrials trials on its own system, the order
+  // alternating so host drift hits both, and the overhead compares medians.
   {
-    uint64_t next_id = n + 1;
+    constexpr size_t kTrials = 5;
     SaeSystem volatile_system(Options(nullptr, 0));
     SAE_CHECK_OK(volatile_system.Load(records));
-    double off_ops = RunMixedSchedule(&volatile_system, mixed_ops, &next_id);
-
     FaultFs fs;
-    next_id = n + 1;
     SaeSystem durable_system(Options(&fs, 64));
     SAE_CHECK_OK(durable_system.Load(records));
-    double on_ops = RunMixedSchedule(&durable_system, mixed_ops, &next_id);
-
-    double overhead_pct =
+    uint64_t off_next_id = n + 1;
+    uint64_t on_next_id = n + 1;
+    std::vector<double> off_trials, on_trials;
+    for (size_t t = 0; t < 2 * kTrials; ++t) {
+      if ((t + t / 2) % 2 == 0) {  // off, on, on, off, off, on, ...
+        off_trials.push_back(
+            RunMixedSchedule(&volatile_system, mixed_ops, &off_next_id));
+      } else {
+        on_trials.push_back(
+            RunMixedSchedule(&durable_system, mixed_ops, &on_next_id));
+      }
+    }
+    std::sort(off_trials.begin(), off_trials.end());
+    std::sort(on_trials.begin(), on_trials.end());
+    const double off_ops = off_trials[kTrials / 2];
+    const double on_ops = on_trials[kTrials / 2];
+    const double overhead_pct =
         on_ops > 0 ? (off_ops / on_ops - 1.0) * 100.0 : 0.0;
-    std::printf("wal_overhead durability=off  %10.0f ops/s\n", off_ops);
-    std::printf("wal_overhead durability=on   %10.0f ops/s  (+%.1f%% cost)\n",
-                on_ops, overhead_pct);
+    std::printf(
+        "wal_overhead durability=off  %10.0f ops/s  median of %zu "
+        "(min %.0f, max %.0f)\n",
+        off_ops, kTrials, off_trials.front(), off_trials.back());
+    std::printf(
+        "wal_overhead durability=on   %10.0f ops/s  median of %zu "
+        "(min %.0f, max %.0f)  %+.1f%% cost\n",
+        on_ops, kTrials, on_trials.front(), on_trials.back(), overhead_pct);
     json.Row({{"section", "wal_overhead"}, {"config", "durability_off"}},
              {{"ops_per_sec", off_ops}});
     json.Row({{"section", "wal_overhead"}, {"config", "durability_on"}},

@@ -1,8 +1,10 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
-// Disk-based B+-tree over (Key, Rid) pairs with duplicate-key support —
-// the *conventional* index the SP uses in SAE (paper §II: "query processing
-// is as fast as in conventional database systems").
+// SAE's SP index: the *conventional* disk B+-tree over (Key, Rid) pairs
+// with duplicate-key support (paper §II: "query processing is as fast as in
+// conventional database systems"). The algorithm is btree::NodeTree (shared
+// with the MB-tree); this type fixes the plain layout, which has no digest
+// column, and adds the exact-posting lookup.
 //
 // Node format (4096-byte pages):
 //   header  : [magic u32][is_leaf u8][pad u8][count u16][next u32][rsvd u32]
@@ -17,20 +19,16 @@
 #define SAE_BTREE_BPLUS_TREE_H_
 
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <vector>
 
+#include "btree/node_tree.h"
 #include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
 #include "storage/record.h"
 #include "util/status.h"
 
 namespace sae::btree {
-
-using storage::BufferPool;
-using storage::Key;
-using storage::PageId;
-using storage::Rid;
 
 /// A key->rid posting.
 struct BTreeEntry {
@@ -49,6 +47,12 @@ struct BPlusTreeOptions {
   size_t max_leaf_entries = 0;
   /// Max keys per internal node (0 = derive from page size).
   size_t max_internal_keys = 0;
+};
+
+/// The plain page layout: no digest column.
+struct PlainLayout {
+  static constexpr uint32_t kMagic = 0x4254524Eu;  // "BTRN"
+  static constexpr bool kDigests = false;
 };
 
 /// Disk-based B+-tree. Const methods (RangeSearch, Contains, Validate) are
@@ -77,67 +81,25 @@ class BPlusTree {
   /// `fill` in (0, 1] controls leaf/internal occupancy.
   Status BulkLoad(const std::vector<BTreeEntry>& sorted, double fill = 1.0);
 
-  size_t size() const { return entry_count_; }
-  size_t node_count() const { return node_count_; }
-  size_t height() const { return height_; }
-  PageId root() const { return root_; }
-  size_t SizeBytes() const { return node_count_ * storage::kPageSize; }
+  size_t size() const { return core_.size(); }
+  size_t node_count() const { return core_.node_count(); }
+  size_t height() const { return core_.height(); }
+  PageId root() const { return core_.root(); }
+  size_t SizeBytes() const { return node_count() * storage::kPageSize; }
 
-  size_t max_leaf_entries() const { return max_leaf_; }
-  size_t max_internal_keys() const { return max_internal_; }
+  size_t max_leaf_entries() const { return core_.max_leaf(); }
+  size_t max_internal_keys() const { return core_.max_internal(); }
 
   /// Exhaustively checks structural invariants (ordering, occupancy, uniform
   /// leaf depth, leaf-chain consistency). Test hook; O(n).
   Status Validate() const;
 
  private:
-  // In-memory image of one node; (de)serialized from/to its page.
-  struct Node {
-    bool is_leaf = true;
-    std::vector<Key> keys;
-    std::vector<Rid> rids;        // leaf: parallel to keys
-    std::vector<PageId> children; // internal: keys.size() + 1
-    PageId next = storage::kInvalidPageId;  // leaf chain
-  };
+  BPlusTree(BufferPool* pool, const BPlusTreeOptions& options)
+      : core_(pool, options.max_leaf_entries, options.max_internal_keys,
+              PlainLayout{}) {}
 
-  BPlusTree(BufferPool* pool, size_t max_leaf, size_t max_internal)
-      : pool_(pool), max_leaf_(max_leaf), max_internal_(max_internal) {}
-
-  Result<Node> LoadNode(PageId id) const;
-  Status StoreNode(PageId id, const Node& node);
-  Result<PageId> NewNode(const Node& node);
-
-  struct SplitResult {
-    Key separator;
-    PageId right_page;
-  };
-
-  // Inserts into the subtree at `page`; sets `split` if the node split.
-  Status InsertRec(PageId page, Key key, Rid rid,
-                   std::optional<SplitResult>* split);
-
-  // Deletes from the subtree at `page`; sets *underflow when the node fell
-  // below its minimum occupancy.
-  Status DeleteRec(PageId page, Key key, Rid rid, bool* underflow);
-
-  // Resolves an underflowing child `child_idx` of internal node `parent`
-  // (already loaded/mutable); may free pages and mutate parent.
-  Status FixUnderflow(Node* parent, size_t child_idx);
-
-  size_t MinOccupancy(const Node& node) const;
-
-  Status ValidateRec(PageId page, size_t depth, std::optional<Key> lo,
-                     std::optional<Key> hi, size_t* leaf_depth,
-                     size_t* entries, size_t* nodes,
-                     std::vector<PageId>* leaves_in_order) const;
-
-  BufferPool* pool_;
-  size_t max_leaf_;
-  size_t max_internal_;
-  PageId root_ = storage::kInvalidPageId;
-  size_t entry_count_ = 0;
-  size_t node_count_ = 0;
-  size_t height_ = 1;
+  NodeTree<PlainLayout> core_;
 };
 
 }  // namespace sae::btree

@@ -4,7 +4,9 @@
 // (Li et al., SIGMOD'06), as the paper summarizes it in §I. A B+-tree where
 // every leaf entry carries H(record) and every internal entry carries the
 // digest of the child page's concatenated digests; the DO signs the root
-// digest.
+// digest. The B+-tree is btree::NodeTree, the same one SAE's SP runs; this
+// type fixes the layout with the digest column and adds what is Merkle-
+// specific: node and root digests, VO construction, and the hot-node cache.
 //
 // Node format (4096-byte pages):
 //   header  : [magic u32][is_leaf u8][pad u8][count u16][next u32][rsvd u32]
@@ -24,6 +26,7 @@
 #include <optional>
 #include <vector>
 
+#include "btree/node_tree.h"
 #include "crypto/digest.h"
 #include "mbtree/vo.h"
 #include "storage/buffer_pool.h"
@@ -46,6 +49,22 @@ struct MbEntry {
   crypto::Digest digest;
 };
 
+/// The MB-tree page layout: the plain B+-tree's plus a digest column,
+/// hashed under `scheme`.
+struct MbLayout {
+  static constexpr uint32_t kMagic = 0x4D42544Eu;  // "MBTN"
+  static constexpr bool kDigests = true;
+
+  crypto::HashScheme scheme = crypto::HashScheme::kSha1;
+
+  /// H(d_1 || ... || d_n) over the node's digest column; an empty tree's
+  /// root hashes the empty string.
+  crypto::Digest NodeDigest(const btree::Node& node) const;
+  /// NodeDigest of every column in one batched hash call.
+  std::vector<crypto::Digest> LevelDigests(
+      const std::vector<std::vector<crypto::Digest>>& columns) const;
+};
+
 /// Fanout overrides for tests (0 = derive from page size).
 struct MbTreeOptions {
   size_t max_leaf_entries = 0;
@@ -59,8 +78,8 @@ struct MbTreeOptions {
   size_t hot_cache_entries = 1024;
 };
 
-/// Merkle B+-tree. Same structural behaviour as btree::BPlusTree plus digest
-/// maintenance on every mutation. Const methods (RangeSearch, BuildVo,
+/// Merkle B+-tree: the shared B+-tree under MbLayout, so every mutation
+/// also rewrites each node on its path with the node's refreshed digest. Const methods (RangeSearch, BuildVo,
 /// Validate) are safe to call from many threads over a thread-safe
 /// BufferPool; mutations require exclusive access to the tree.
 class MbTree {
@@ -94,12 +113,12 @@ class MbTree {
   /// Current root digest (the value the DO signs).
   const crypto::Digest& root_digest() const { return root_digest_; }
 
-  size_t size() const { return entry_count_; }
-  size_t node_count() const { return node_count_; }
-  size_t height() const { return height_; }
-  size_t SizeBytes() const { return node_count_ * storage::kPageSize; }
-  size_t max_leaf_entries() const { return max_leaf_; }
-  size_t max_internal_keys() const { return max_internal_; }
+  size_t size() const { return core_.size(); }
+  size_t node_count() const { return core_.node_count(); }
+  size_t height() const { return core_.height(); }
+  size_t SizeBytes() const { return node_count() * storage::kPageSize; }
+  size_t max_leaf_entries() const { return core_.max_leaf(); }
+  size_t max_internal_keys() const { return core_.max_internal(); }
 
   /// Hot-level node cache counters (hits/misses/invalidations/evictions);
   /// snapshot by value, diff to measure a span.
@@ -111,52 +130,7 @@ class MbTree {
   Status Validate() const;
 
  private:
-  struct Node {
-    bool is_leaf = true;
-    std::vector<Key> keys;
-    std::vector<Rid> rids;                  // leaf
-    std::vector<PageId> children;           // internal: keys.size() + 1
-    std::vector<crypto::Digest> digests;    // leaf: per key; internal:
-                                            // per child (keys.size() + 1)
-    PageId next = storage::kInvalidPageId;
-  };
-
-  MbTree(BufferPool* pool, size_t max_leaf, size_t max_internal,
-         crypto::HashScheme scheme,
-         const storage::NodeCacheOptions& cache_options = {})
-      : pool_(pool),
-        max_leaf_(max_leaf),
-        max_internal_(max_internal),
-        scheme_(scheme),
-        node_cache_(cache_options) {}
-
-  Result<Node> LoadNode(PageId id) const;
-  /// Depth-aware load: serves hot levels (depth < hot_cache_levels, root at
-  /// depth 0) from the digest cache, filling it on miss.
-  Result<std::shared_ptr<const Node>> LoadNodeCached(PageId id,
-                                                     size_t depth) const;
-  Status StoreNode(PageId id, const Node& node);
-  Result<PageId> NewNode(const Node& node);
-
-  crypto::Digest NodeDigest(const Node& node) const;
-
-  struct SplitResult {
-    Key separator;
-    PageId right_page;
-    crypto::Digest right_digest;
-  };
-
-  // Inserts into subtree; `self_digest` returns the node's new digest.
-  Status InsertRec(PageId page, const MbEntry& entry,
-                   std::optional<SplitResult>* split,
-                   crypto::Digest* self_digest);
-
-  Status DeleteRec(PageId page, Key key, Rid rid, bool* underflow,
-                   crypto::Digest* self_digest, crypto::Digest* removed);
-
-  Status FixUnderflow(Node* parent, size_t child_idx);
-
-  size_t MinOccupancy(const Node& node) const;
+  MbTree(BufferPool* pool, const MbTreeOptions& options);
 
   Result<std::optional<MbEntry>> Predecessor(Key lo) const;
   Result<std::optional<MbEntry>> Successor(Key hi) const;
@@ -170,21 +144,10 @@ class MbTree {
                     const std::optional<MbEntry>& right_boundary,
                     const RecordFetcher& fetch, VoNode* out) const;
 
-  Status ValidateRec(PageId page, size_t depth, std::optional<Key> lo,
-                     std::optional<Key> hi, size_t* leaf_depth,
-                     size_t* entries, size_t* nodes,
-                     crypto::Digest* digest) const;
-
-  BufferPool* pool_;
-  size_t max_leaf_;
-  size_t max_internal_;
-  crypto::HashScheme scheme_;
-  PageId root_ = storage::kInvalidPageId;
+  // Declared before core_, which holds a pointer to it.
+  mutable btree::NodeCache node_cache_;
+  btree::NodeTree<MbLayout> core_;
   crypto::Digest root_digest_;
-  size_t entry_count_ = 0;
-  size_t node_count_ = 0;
-  size_t height_ = 1;
-  mutable storage::HotNodeCache<Node> node_cache_;
 };
 
 }  // namespace sae::mbtree

@@ -5,7 +5,8 @@
 
 #include "storage/record.h"
 
-#include <algorithm>\n#include <cstring>
+#include <algorithm>
+#include <cstring>
 
 #include "util/codec.h"
 #include "util/macros.h"

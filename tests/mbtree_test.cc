@@ -13,6 +13,7 @@
 #include "mbtree/mb_tree.h"
 #include "mbtree/vo.h"
 #include "storage/page_store.h"
+#include "util/codec.h"
 #include "util/random.h"
 
 namespace sae::mbtree {
@@ -137,6 +138,31 @@ TEST_F(MbFixture, DeleteMaintainsDigests) {
   }
   EXPECT_EQ(tree_->size(), 0u);
   EXPECT_EQ(tree_->height(), 1u);
+}
+
+// A leaf's next pointer is outside every digest, so only the structural
+// check that the chain follows the left-to-right leaf order can catch a
+// broken one.
+TEST_F(MbFixture, ValidateRejectsBrokenLeafChain) {
+  MakeTree();
+  for (uint64_t i = 0; i < 40; ++i) InsertRecord(i + 1, uint32_t(i * 3));
+  ASSERT_TRUE(tree_->Validate().ok());
+  ASSERT_TRUE(pool_.FlushAll().ok());
+
+  bool broken = false;
+  for (storage::PageId id = 0; !broken && id < 4 * tree_->node_count();
+       ++id) {
+    auto ref = pool_.Fetch(id);
+    if (!ref.ok()) continue;
+    const uint8_t* p = ref.value().Get().bytes();
+    bool is_leaf = DecodeU32(p) == 0x4D42544Eu && p[4] != 0;
+    if (!is_leaf || DecodeU32(p + 8) == storage::kInvalidPageId) continue;
+    EncodeU32(ref.value().Mutable().bytes() + 8, storage::kInvalidPageId);
+    broken = true;
+  }
+  ASSERT_TRUE(broken);
+  Status st = tree_->Validate();
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
 }
 
 TEST_F(MbFixture, RootDigestChangesOnUpdate) {
