@@ -308,10 +308,12 @@ int main() {
   for (uint64_t id = 1; id <= n_records; ++id) {
     dataset.push_back(codec.MakeRecord(id, uint32_t(id)));
   }
-  core::ServiceProvider sp(
-      core::ServiceProviderOptions{.record_size = kRecordSize});
-  core::TrustedEntity te(
-      core::TrustedEntityOptions{.record_size = kRecordSize});
+  core::ServiceProviderOptions sp_options;
+  sp_options.record_size = kRecordSize;
+  core::TrustedEntityOptions te_options;
+  te_options.record_size = kRecordSize;
+  core::ServiceProvider sp(sp_options);
+  core::TrustedEntity te(te_options);
   SAE_CHECK_OK(sp.LoadDataset(dataset));
   SAE_CHECK_OK(te.LoadDataset(dataset));
   sp.SetEpoch(1);

@@ -72,8 +72,9 @@ Status Retry(Fn&& fn) {
 // --- party processes ------------------------------------------------------------
 
 int RunSp(uint16_t port) {
-  core::ServiceProvider sp(
-      core::ServiceProviderOptions{.record_size = kRecordSize});
+  core::ServiceProviderOptions options;
+  options.record_size = kRecordSize;
+  core::ServiceProvider sp(options);
   net::SpServer server(&sp, {.port = port});
   if (!server.Start().ok()) return 1;
   std::printf("[sp]     pid %d serving on port %u\n", getpid(),
@@ -85,8 +86,9 @@ int RunSp(uint16_t port) {
 }
 
 int RunTe(uint16_t port) {
-  core::TrustedEntity te(
-      core::TrustedEntityOptions{.record_size = kRecordSize});
+  core::TrustedEntityOptions options;
+  options.record_size = kRecordSize;
+  core::TrustedEntity te(options);
   net::TeServer server(&te, {.port = port});
   if (!server.Start().ok()) return 1;
   std::printf("[te]     pid %d serving on port %u\n", getpid(),

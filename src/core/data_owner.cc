@@ -6,6 +6,7 @@
 #include "core/data_owner.h"
 
 #include <algorithm>
+#include <future>
 
 #include "core/messages.h"
 #include "util/macros.h"
@@ -14,31 +15,12 @@ namespace sae::core {
 
 DataOwner::DataOwner(size_t record_size) : codec_(record_size) {}
 
-Status DataOwner::SetDataset(const std::vector<Record>& records) {
-  master_.clear();
-  epoch_ = 0;  // nothing outsourced yet; Outsource publishes epoch 1
-  for (const Record& record : records) {
-    if (!master_.emplace(record.id, record).second) {
-      return Status::InvalidArgument("duplicate record id");
-    }
-  }
-  return Status::OK();
-}
-
 std::vector<Record> DataOwner::SortedDataset() const {
   std::vector<Record> out;
   out.reserve(master_.size());
   for (const auto& [id, record] : master_) out.push_back(record);
-  std::sort(out.begin(), out.end(), [](const Record& a, const Record& b) {
-    return a.key != b.key ? a.key < b.key : a.id < b.id;
-  });
+  std::sort(out.begin(), out.end(), storage::KeyIdLess);
   return out;
-}
-
-Result<Record> DataOwner::Get(RecordId id) const {
-  auto it = master_.find(id);
-  if (it == master_.end()) return Status::NotFound("no record with this id");
-  return it->second;
 }
 
 void DataOwner::PublishEpoch(ServiceProvider* sp, TrustedEntity* te,
@@ -51,14 +33,32 @@ void DataOwner::PublishEpoch(ServiceProvider* sp, TrustedEntity* te,
   te->SetEpoch(epoch_);
 }
 
-Status DataOwner::Outsource(ServiceProvider* sp, TrustedEntity* te,
+Status DataOwner::Outsource(const std::vector<Record>& sorted,
+                            ServiceProvider* sp, TrustedEntity* te,
                             sim::Channel* to_sp, sim::Channel* to_te) {
-  std::vector<Record> sorted = SortedDataset();
-  std::vector<uint8_t> shipment = SerializeRecords(sorted, codec_);
-  to_sp->Send(shipment);
-  to_te->Send(shipment);
-  SAE_RETURN_NOT_OK(sp->LoadDataset(sorted));
-  SAE_RETURN_NOT_OK(te->LoadDataset(sorted));
+  const size_t shipment = RecordsMessageSize(sorted.size(), codec_);
+  to_sp->SendBytes(shipment);
+  to_te->SendBytes(shipment);
+  // The SP, the TE and the owner's master copy share no state, so all three
+  // are built at once: the parties on their own threads, the master here.
+  auto sp_loaded =
+      std::async(std::launch::async, [&] { return sp->LoadDataset(sorted); });
+  auto te_loaded =
+      std::async(std::launch::async, [&] { return te->LoadDataset(sorted); });
+  master_.clear();
+  epoch_ = 0;  // nothing outsourced yet; the shipment publishes epoch 1
+  Status installed;
+  for (const Record& record : sorted) {
+    if (!master_.emplace(record.id, record).second) {
+      installed = Status::InvalidArgument("duplicate record id");
+      break;
+    }
+  }
+  Status sp_status = sp_loaded.get();
+  Status te_status = te_loaded.get();
+  SAE_RETURN_NOT_OK(installed);
+  SAE_RETURN_NOT_OK(sp_status);
+  SAE_RETURN_NOT_OK(te_status);
   PublishEpoch(sp, te, to_sp, to_te);  // the initial shipment is epoch 1
   return Status::OK();
 }

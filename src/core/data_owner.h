@@ -23,19 +23,16 @@ class DataOwner {
  public:
   explicit DataOwner(size_t record_size = storage::kDefaultRecordSize);
 
-  /// Installs the master dataset. Record ids must be unique.
-  Status SetDataset(const std::vector<Record>& records);
-
   /// Master copy sorted by key (the shipping order).
   std::vector<Record> SortedDataset() const;
 
-  size_t size() const { return master_.size(); }
-  Result<Record> Get(RecordId id) const;
-
-  /// Ships the dataset to both parties over the metered channels (paper
-  /// Fig. 2 "Initial dataset" arrows); the parties build their structures.
-  Status Outsource(ServiceProvider* sp, TrustedEntity* te,
-                   sim::Channel* to_sp, sim::Channel* to_te);
+  /// Installs `sorted` (storage::KeyIdLess order, unique ids) as the
+  /// master dataset and ships it to both parties over the metered channels
+  /// (paper Fig. 2 "Initial dataset" arrows). The parties and the master
+  /// copy share no state, so all three are built concurrently.
+  Status Outsource(const std::vector<Record>& sorted, ServiceProvider* sp,
+                   TrustedEntity* te, sim::Channel* to_sp,
+                   sim::Channel* to_te);
 
   /// Update paths: apply to the master copy, bump the epoch, and propagate
   /// record + epoch notice to both parties.

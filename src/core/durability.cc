@@ -8,12 +8,20 @@
 
 #include <algorithm>
 #include <chrono>
+#include <unordered_map>
 
+#include "sim/cost_model.h"
 #include "util/codec.h"
 
 namespace sae::core {
 
 namespace {
+
+size_t RecordBytes(const std::vector<Record>& records) {
+  size_t bytes = 0;
+  for (const Record& record : records) bytes += 16 + record.payload.size();
+  return bytes;
+}
 
 void PutRecord(ByteWriter* w, const Record& record) {
   w->PutU64(record.id);
@@ -35,15 +43,91 @@ bool GetRecord(ByteReader* r, Record* out) {
   return len == 0 || r->GetBytes(out->payload.data(), len);
 }
 
-std::vector<Record> SortedByKey(std::map<RecordId, Record> by_id) {
-  std::vector<Record> records;
-  records.reserve(by_id.size());
-  for (auto& [id, record] : by_id) records.push_back(std::move(record));
-  std::sort(records.begin(), records.end(),
-            [](const Record& a, const Record& b) {
-              return a.key != b.key ? a.key < b.key : a.id < b.id;
-            });
-  return records;
+/// Both payload kinds open with the configuration and a record list (a
+/// snapshot's records, a delta's upserts) and end in the digest XOR.
+void PutHead(ByteWriter* w, uint8_t model, uint32_t record_size,
+             crypto::HashScheme scheme, const std::vector<Record>& records) {
+  w->PutU8(model);
+  w->PutU32(record_size);
+  w->PutU8(uint8_t(scheme));
+  w->PutU32(uint32_t(records.size()));
+  for (const Record& record : records) PutRecord(w, record);
+}
+
+Status GetHead(ByteReader* r, const std::string& what, uint8_t* model,
+               uint32_t* record_size, crypto::HashScheme* scheme,
+               std::vector<Record>* records) {
+  *model = r->GetU8();
+  *record_size = r->GetU32();
+  uint8_t scheme_tag = r->GetU8();
+  uint32_t count = r->GetU32();
+  if (*model != SnapshotState::kSae && *model != SnapshotState::kTom) {
+    return Status::Corruption(what + " has unknown model tag");
+  }
+  if (scheme_tag > uint8_t(crypto::HashScheme::kSha256Trunc)) {
+    return Status::Corruption(what + " has unknown hash scheme");
+  }
+  *scheme = crypto::HashScheme(scheme_tag);
+  // A record takes at least 16 bytes, which bounds a lying count.
+  records->reserve(std::min<size_t>(count, r->remaining() / 16));
+  for (uint32_t i = 0; i < count; ++i) {
+    Record record;
+    if (!GetRecord(r, &record)) {
+      return Status::Corruption(what + " record does not decode");
+    }
+    records->push_back(std::move(record));
+  }
+  return Status::OK();
+}
+
+Status GetTail(ByteReader* r, const std::string& what,
+               crypto::Digest* digest_xor) {
+  if (!r->GetBytes(digest_xor->bytes.data(), crypto::Digest::kSize)) {
+    return Status::Corruption(what + " digest does not decode");
+  }
+  if (r->remaining() != 0) {
+    return Status::Corruption(what + " payload has trailing bytes");
+  }
+  return Status::OK();
+}
+
+/// Composes a chain into one record set in (key, id) order: `base` (a full
+/// snapshot's records) with each delta link's removes, then upserts,
+/// applied by id in order. `latest` is the id-keyed map of that definition
+/// holding pointers, so no record moves into a map: the base records still
+/// current keep their order (the writer emits (key, id) order; a base that
+/// is not is sorted), and the current upserts are merged in. A repeated
+/// base id keeps its last copy, as a map does.
+std::vector<Record> ComposeChain(std::vector<Record> base,
+                                 std::vector<DeltaState>* deltas) {
+  std::unordered_map<RecordId, const Record*> latest(base.size());
+  for (const Record& record : base) latest[record.id] = &record;
+  for (const DeltaState& delta : *deltas) {
+    for (RecordId id : delta.removes) latest.erase(id);
+    for (const Record& record : delta.upserts) latest[record.id] = &record;
+  }
+  auto current = [&latest](const Record& record) {
+    auto it = latest.find(record.id);
+    return it != latest.end() && it->second == &record;
+  };
+  std::vector<Record> out;
+  out.reserve(latest.size());
+  for (Record& record : base) {
+    if (current(record)) out.push_back(std::move(record));
+  }
+  if (!std::is_sorted(out.begin(), out.end(), storage::KeyIdLess)) {
+    std::sort(out.begin(), out.end(), storage::KeyIdLess);
+  }
+  const auto merged = out.size();
+  for (DeltaState& delta : *deltas) {
+    for (Record& record : delta.upserts) {
+      if (current(record)) out.push_back(std::move(record));
+    }
+  }
+  std::sort(out.begin() + merged, out.end(), storage::KeyIdLess);
+  std::inplace_merge(out.begin(), out.begin() + merged, out.end(),
+                     storage::KeyIdLess);
+  return out;
 }
 
 }  // namespace
@@ -82,11 +166,8 @@ Result<WalUpdate> DecodeWalUpdate(const std::vector<uint8_t>& payload) {
 
 std::vector<uint8_t> EncodeSnapshotState(const SnapshotState& state) {
   ByteWriter w;
-  w.PutU8(state.model);
-  w.PutU32(state.record_size);
-  w.PutU8(uint8_t(state.scheme));
-  w.PutU32(uint32_t(state.records.size()));
-  for (const Record& record : state.records) PutRecord(&w, record);
+  w.Reserve(10 + RecordBytes(state.records) + crypto::Digest::kSize);
+  PutHead(&w, state.model, state.record_size, state.scheme, state.records);
   PutDigest(&w, state.digest_xor);
   return w.Release();
 }
@@ -95,41 +176,17 @@ Result<SnapshotState> DecodeSnapshotState(
     const std::vector<uint8_t>& payload) {
   ByteReader r(payload);
   SnapshotState state;
-  state.model = r.GetU8();
-  state.record_size = r.GetU32();
-  uint8_t scheme = r.GetU8();
-  uint32_t count = r.GetU32();
-  if (state.model != SnapshotState::kSae && state.model != SnapshotState::kTom) {
-    return Status::Corruption("snapshot has unknown model tag");
-  }
-  if (scheme > uint8_t(crypto::HashScheme::kSha256Trunc)) {
-    return Status::Corruption("snapshot has unknown hash scheme");
-  }
-  state.scheme = crypto::HashScheme(scheme);
-  state.records.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    Record record;
-    if (!GetRecord(&r, &record)) {
-      return Status::Corruption("snapshot record does not decode");
-    }
-    state.records.push_back(std::move(record));
-  }
-  if (!r.GetBytes(state.digest_xor.bytes.data(), crypto::Digest::kSize)) {
-    return Status::Corruption("snapshot digest does not decode");
-  }
-  if (r.remaining() != 0) {
-    return Status::Corruption("snapshot payload has trailing bytes");
-  }
+  SAE_RETURN_NOT_OK(GetHead(&r, "snapshot", &state.model, &state.record_size,
+                            &state.scheme, &state.records));
+  SAE_RETURN_NOT_OK(GetTail(&r, "snapshot", &state.digest_xor));
   return state;
 }
 
 std::vector<uint8_t> EncodeDeltaState(const DeltaState& state) {
   ByteWriter w;
-  w.PutU8(state.model);
-  w.PutU32(state.record_size);
-  w.PutU8(uint8_t(state.scheme));
-  w.PutU32(uint32_t(state.upserts.size()));
-  for (const Record& record : state.upserts) PutRecord(&w, record);
+  w.Reserve(14 + RecordBytes(state.upserts) + 8 * state.removes.size() +
+            crypto::Digest::kSize);
+  PutHead(&w, state.model, state.record_size, state.scheme, state.upserts);
   w.PutU32(uint32_t(state.removes.size()));
   for (RecordId id : state.removes) w.PutU64(id);
   PutDigest(&w, state.digest_xor);
@@ -139,37 +196,15 @@ std::vector<uint8_t> EncodeDeltaState(const DeltaState& state) {
 Result<DeltaState> DecodeDeltaState(const std::vector<uint8_t>& payload) {
   ByteReader r(payload);
   DeltaState state;
-  state.model = r.GetU8();
-  state.record_size = r.GetU32();
-  uint8_t scheme = r.GetU8();
-  uint32_t upserts = r.GetU32();
-  if (state.model != SnapshotState::kSae && state.model != SnapshotState::kTom) {
-    return Status::Corruption("delta has unknown model tag");
-  }
-  if (scheme > uint8_t(crypto::HashScheme::kSha256Trunc)) {
-    return Status::Corruption("delta has unknown hash scheme");
-  }
-  state.scheme = crypto::HashScheme(scheme);
-  state.upserts.reserve(upserts);
-  for (uint32_t i = 0; i < upserts; ++i) {
-    Record record;
-    if (!GetRecord(&r, &record)) {
-      return Status::Corruption("delta upsert record does not decode");
-    }
-    state.upserts.push_back(std::move(record));
-  }
+  SAE_RETURN_NOT_OK(GetHead(&r, "delta", &state.model, &state.record_size,
+                            &state.scheme, &state.upserts));
   uint32_t removes = r.GetU32();
   if (r.failed() || uint64_t(removes) * 8 > r.remaining()) {
     return Status::Corruption("delta remove list does not decode");
   }
   state.removes.reserve(removes);
   for (uint32_t i = 0; i < removes; ++i) state.removes.push_back(r.GetU64());
-  if (!r.GetBytes(state.digest_xor.bytes.data(), crypto::Digest::kSize)) {
-    return Status::Corruption("delta digest does not decode");
-  }
-  if (r.remaining() != 0) {
-    return Status::Corruption("delta payload has trailing bytes");
-  }
+  SAE_RETURN_NOT_OK(GetTail(&r, "delta", &state.digest_xor));
   return state;
 }
 
@@ -189,7 +224,7 @@ DurabilityManager::~DurabilityManager() {
 }
 
 Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
-    const DurabilityOptions& options) {
+    const DurabilityOptions& options, RecoveryStats* timing) {
   if (!options.enabled || options.dir.empty()) {
     return Status::InvalidArgument("durability needs enabled=true and a dir");
   }
@@ -203,17 +238,16 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
   // delta that validly links onto it. Each link's removes-then-upserts
   // replays the net changes of its checkpoint window; the tail's digest XOR
   // speaks for the composed state.
+  RecoveryStats untimed;
+  RecoveryStats& phases = timing != nullptr ? *timing : untimed;
+  sim::Stopwatch watch;
   auto chain = mgr->snapshots_.LoadChain();
+  phases.read_ms += watch.LapMs();
   if (chain.ok()) {
     SAE_ASSIGN_OR_RETURN(SnapshotState base,
                          DecodeSnapshotState(chain.value().base_payload));
-    std::map<RecordId, Record> by_id;
-    for (Record& record : base.records) {
-      RecordId id = record.id;
-      by_id[id] = std::move(record);
-    }
-    uint64_t tail_epoch = chain.value().base_epoch;
-    crypto::Digest digest_xor = base.digest_xor;
+    chain.value().base_payload = {};
+    std::vector<DeltaState> deltas;
     for (storage::SnapshotStore::ChainLink& link : chain.value().deltas) {
       SAE_ASSIGN_OR_RETURN(DeltaState delta, DecodeDeltaState(link.payload));
       if (delta.model != base.model ||
@@ -222,28 +256,26 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
         return Status::Corruption(
             "delta configuration does not match its chain base");
       }
-      for (RecordId id : delta.removes) by_id.erase(id);
-      for (Record& record : delta.upserts) {
-        RecordId id = record.id;
-        by_id[id] = std::move(record);
-      }
-      digest_xor = delta.digest_xor;
-      tail_epoch = link.epoch;
+      deltas.push_back(std::move(delta));
     }
-    SnapshotState composed;
-    composed.model = base.model;
-    composed.record_size = base.record_size;
-    composed.scheme = base.scheme;
-    composed.records = SortedByKey(std::move(by_id));
-    composed.digest_xor = digest_xor;
-    mgr->recovered_.has_snapshot = true;
-    mgr->recovered_.snapshot_epoch = tail_epoch;
-    mgr->recovered_.snapshot_fell_back = chain.value().fell_back;
-    mgr->recovered_.chain_deltas = chain.value().deltas.size();
-    mgr->recovered_.snapshot = std::move(composed);
+    phases.decode_ms += watch.LapMs();
+    Recovered& rec = mgr->recovered_;
+    rec.has_snapshot = true;
+    rec.snapshot_epoch = chain.value().deltas.empty()
+                             ? chain.value().base_epoch
+                             : chain.value().deltas.back().epoch;
+    rec.snapshot_fell_back = chain.value().fell_back;
+    rec.chain_deltas = deltas.size();
+    rec.snapshot.model = base.model;
+    rec.snapshot.record_size = base.record_size;
+    rec.snapshot.scheme = base.scheme;
+    rec.snapshot.digest_xor =
+        deltas.empty() ? base.digest_xor : deltas.back().digest_xor;
+    rec.snapshot.records = ComposeChain(std::move(base.records), &deltas);
+    phases.compose_ms += watch.LapMs();
     mgr->have_chain_ = true;
-    mgr->chain_tail_epoch_ = tail_epoch;
-    mgr->chain_length_ = chain.value().deltas.size();
+    mgr->chain_tail_epoch_ = rec.snapshot_epoch;
+    mgr->chain_length_ = deltas.size();
     mgr->meta_model_ = base.model;
     mgr->meta_record_size_ = base.record_size;
     mgr->meta_scheme_ = base.scheme;
@@ -261,6 +293,7 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
   storage::WalContents contents;
   SAE_ASSIGN_OR_RETURN(mgr->wal_, storage::WriteAheadLog::Open(
                                       vfs, options.dir, &contents));
+  phases.read_ms += watch.LapMs();
   mgr->recovered_.wal_truncated = contents.torn_tail;
   size_t keep = 0;
   bool cut = false;
@@ -300,6 +333,7 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
     mgr->recovered_.wal_tail.push_back(std::move(update.value()));
     ++keep;
   }
+  phases.decode_ms += watch.LapMs();
   if (cut) {
     mgr->recovered_.wal_truncated = true;
     SAE_RETURN_NOT_OK(mgr->wal_->TruncateAfterRecord(keep));
@@ -385,8 +419,9 @@ Status DurabilityManager::CaptureLocked(CheckpointJob job, bool sync) {
   return Status::OK();
 }
 
-Status DurabilityManager::CaptureFull(uint64_t epoch, SnapshotState state,
-                                       bool sync) {
+Status DurabilityManager::CheckpointFull(uint64_t epoch, SnapshotState state,
+                                          bool sync) {
+  // A full capture also sets the header fields later deltas inherit.
   {
     std::lock_guard<std::mutex> lock(state_mu_);
     meta_model_ = state.model;
@@ -398,14 +433,6 @@ Status DurabilityManager::CaptureFull(uint64_t epoch, SnapshotState state,
   job.epoch = epoch;
   job.full_state = std::move(state);
   return CaptureLocked(std::move(job), sync);
-}
-
-Status DurabilityManager::CheckpointFull(uint64_t epoch, SnapshotState state) {
-  return CaptureFull(epoch, std::move(state), /*sync=*/false);
-}
-
-Status DurabilityManager::WriteSnapshot(uint64_t epoch, SnapshotState state) {
-  return CaptureFull(epoch, std::move(state), /*sync=*/true);
 }
 
 Status DurabilityManager::CheckpointDelta(uint64_t epoch,

@@ -140,6 +140,19 @@ struct DeltaState {
 std::vector<uint8_t> EncodeDeltaState(const DeltaState& state);
 Result<DeltaState> DecodeDeltaState(const std::vector<uint8_t>& payload);
 
+/// Where one Recover() spent its wall time, phase by phase. The first three
+/// are DurabilityManager::Open's; the rest are the pipeline's.
+struct RecoveryStats {
+  double read_ms = 0.0;     ///< chain and WAL files read, CRCs checked
+  double decode_ms = 0.0;   ///< snapshot, delta and WAL payloads decoded
+  double compose_ms = 0.0;  ///< the chain composed into one record set
+  double restore_ms = 0.0;  ///< rebuilding the parties from the snapshot
+  double check_ms = 0.0;    ///< digest-XOR check against the snapshot
+  double replay_ms = 0.0;   ///< applying the WAL tail
+  double sign_ms = 0.0;     ///< AuthenticateRecovered (TOM: one signature)
+  uint64_t replayed = 0;    ///< WAL tail records applied
+};
+
 /// Point-in-time durability counters (systems expose this as
 /// `durability_stats()`; bench_durability and restartable_sp print it).
 struct DurabilityStats {
@@ -186,8 +199,9 @@ class DurabilityManager {
     bool wal_truncated = false;   ///< garbage or orphans were cut
   };
 
+  /// `timing`, when given, receives the read/decode/compose phase times.
   static Result<std::unique_ptr<DurabilityManager>> Open(
-      const DurabilityOptions& options);
+      const DurabilityOptions& options, RecoveryStats* timing = nullptr);
 
   /// Drains and joins the checkpoint thread (pending captures are written
   /// out, best effort — a failure there is what WaitForCheckpoints would
@@ -195,6 +209,8 @@ class DurabilityManager {
   ~DurabilityManager();
 
   const Recovered& recovered() const { return recovered_; }
+  /// Recovery moves the composed records out into the rebuilt parties.
+  Recovered& recovered() { return recovered_; }
 
   /// Stages one update record into the WAL buffer (volatile) and tracks
   /// its net change for the next delta checkpoint. Returns the commit
@@ -231,20 +247,18 @@ class DurabilityManager {
 
   /// Captures a FULL checkpoint of `state` at `epoch`: rotates the WAL
   /// (sealing the segments this checkpoint makes redundant) and hands the
-  /// state to the checkpoint thread. Resets the
-  /// pending-change set, the chain, and the cadence counter. Caller holds
-  /// the writer lock at a quiescent point (nothing staged-but-unapplied).
-  Status CheckpointFull(uint64_t epoch, SnapshotState state);
+  /// state to the checkpoint thread, or with `sync` writes it inline (Load's
+  /// epoch-1 baseline, so "Load returned" implies "recoverable from disk").
+  /// Resets the pending-change set, the chain, and the cadence counter.
+  /// Caller holds the writer lock at a quiescent point (nothing
+  /// staged-but-unapplied).
+  Status CheckpointFull(uint64_t epoch, SnapshotState state,
+                        bool sync = false);
 
   /// Captures a DELTA checkpoint at `epoch` from the pending-change set
   /// accumulated since the previous capture (O(changes) under the lock),
   /// chained onto that capture's epoch. Same quiescence requirement.
   Status CheckpointDelta(uint64_t epoch, const crypto::Digest& digest_xor);
-
-  /// Synchronous full checkpoint, written inline rather than on the
-  /// checkpoint thread. Load uses this for the epoch-1 baseline, so "Load
-  /// returned" implies "recoverable from disk".
-  Status WriteSnapshot(uint64_t epoch, SnapshotState state);
 
   /// Blocks until every captured checkpoint is durable (or failed);
   /// returns the first failure since the last wait. Call without the
@@ -278,9 +292,6 @@ class DurabilityManager {
   /// fills the payload side of `job`. `sync` writes inline instead of on
   /// the checkpoint thread (the Load baseline).
   Status CaptureLocked(CheckpointJob job, bool sync);
-  /// A full capture of `state`, which also sets the header fields later
-  /// deltas inherit.
-  Status CaptureFull(uint64_t epoch, SnapshotState state, bool sync);
   /// Serializes and writes one captured checkpoint; drops the WAL
   /// segments it made redundant once it is durable. While the chain is
   /// broken (an earlier checkpoint write failed) delta jobs are SKIPPED —

@@ -168,9 +168,14 @@ Result<std::vector<uint64_t>> DeserializeShardEpochs(
   return epochs;
 }
 
+size_t RecordsMessageSize(size_t count, const RecordCodec& codec) {
+  return 1 + 4 + 8 + count * codec.record_size();
+}
+
 std::vector<uint8_t> SerializeRecords(const std::vector<Record>& records,
                                       const RecordCodec& codec) {
   ByteWriter w;
+  w.Reserve(RecordsMessageSize(records.size(), codec));
   w.PutU8(kTagRecords);
   w.PutU32(uint32_t(codec.record_size()));
   w.PutU64(records.size());

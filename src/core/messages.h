@@ -25,6 +25,9 @@ using storage::Record;
 using storage::RecordCodec;
 
 /// Dataset shipment (DO -> SP, DO -> TE): count + fixed-size record images.
+/// RecordsMessageSize is its exact size, for metering a shipment whose
+/// bytes the in-process parties never need.
+size_t RecordsMessageSize(size_t count, const RecordCodec& codec);
 std::vector<uint8_t> SerializeRecords(const std::vector<Record>& records,
                                       const RecordCodec& codec);
 Result<std::vector<Record>> DeserializeRecords(

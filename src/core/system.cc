@@ -8,6 +8,7 @@
 #include "core/system.h"
 
 #include <algorithm>
+#include <future>
 #include <limits>
 
 #include "core/messages.h"
@@ -18,14 +19,6 @@
 namespace sae::core {
 
 namespace {
-
-std::vector<Record> SortByKey(std::vector<Record> records) {
-  std::sort(records.begin(), records.end(),
-            [](const Record& a, const Record& b) {
-              return a.key != b.key ? a.key < b.key : a.id < b.id;
-            });
-  return records;
-}
 
 constexpr Key kMinKey = std::numeric_limits<Key>::min();
 constexpr Key kMaxKey = std::numeric_limits<Key>::max();
@@ -63,14 +56,13 @@ Result<std::unique_ptr<SaeSystem>> SaeSystem::Recover(const Options& options) {
   return system;
 }
 
-Status SaeSystem::Outsource(const std::vector<Record>& records) {
-  SAE_RETURN_NOT_OK(owner_.SetDataset(records));
-  return owner_.Outsource(&sp_, &te_, &do_sp_, &do_te_);
+Result<std::vector<Record>> SaeSystem::Outsource(std::vector<Record> sorted) {
+  SAE_RETURN_NOT_OK(owner_.Outsource(sorted, &sp_, &te_, &do_sp_, &do_te_));
+  return sorted;  // the master copy holds exactly these records
 }
 
-Status SaeSystem::Restore(const std::vector<Record>& records,
-                          uint64_t epoch) {
-  SAE_RETURN_NOT_OK(Outsource(records));
+Status SaeSystem::Restore(std::vector<Record> sorted, uint64_t epoch) {
+  SAE_RETURN_NOT_OK(owner_.Outsource(sorted, &sp_, &te_, &do_sp_, &do_te_));
   owner_.RestoreEpoch(epoch, &sp_, &te_);
   return Status::OK();
 }
@@ -233,20 +225,33 @@ Result<std::unique_ptr<TomSystem>> TomSystem::Recover(const Options& options) {
   return system;
 }
 
-Status TomSystem::Outsource(const std::vector<Record>& records) {
-  std::vector<Record> sorted = SortByKey(records);
-  SAE_RETURN_NOT_OK(owner_.LoadDataset(sorted));
-  do_sp_.Send(SerializeRecords(sorted, codec_));
-  do_sp_.Send(SerializeSignature(owner_.signature(), owner_.epoch()));
-  return sp_.LoadDataset(sorted, owner_.signature(), owner_.epoch());
+Status TomSystem::LoadParties(const std::vector<Record>& sorted,
+                              uint64_t epoch) {
+  // The owner and the SP each build their own ADS from the records and
+  // share no state, so they load concurrently. Both stay unsigned until
+  // AuthenticateRecovered signs the root.
+  auto sp_loaded = std::async(std::launch::async, [&] {
+    return sp_.LoadDataset(sorted, crypto::RsaSignature(), epoch);
+  });
+  Status owner_loaded = owner_.LoadDataset(sorted, epoch);
+  SAE_RETURN_NOT_OK(sp_loaded.get());
+  return owner_loaded;
 }
 
-Status TomSystem::Restore(const std::vector<Record>& records,
-                          uint64_t epoch) {
+Result<std::vector<Record>> TomSystem::Outsource(std::vector<Record> sorted) {
+  SAE_RETURN_NOT_OK(LoadParties(sorted, 1));  // outsourcing is epoch 1
+  AuthenticateRecovered();  // signs epoch 1 and installs it at the SP
+  do_sp_.SendBytes(RecordsMessageSize(sorted.size(), codec_));
+  do_sp_.Send(SerializeSignature(owner_.signature(), owner_.epoch()));
+  // The SP's heap keeps each payload zero-padded to the record size, so
+  // padding here yields exactly what CaptureRecords reads back.
+  for (Record& record : sorted) record.payload.resize(codec_.payload_size());
+  return sorted;
+}
+
+Status TomSystem::Restore(std::vector<Record> sorted, uint64_t epoch) {
   // Local disk, unsigned: AuthenticateRecovered signs after the WAL tail.
-  std::vector<Record> sorted = SortByKey(records);
-  SAE_RETURN_NOT_OK(owner_.RestoreDataset(sorted, epoch));
-  return sp_.LoadDataset(sorted, owner_.signature(), epoch);
+  return LoadParties(sorted, epoch);
 }
 
 void TomSystem::AuthenticateRecovered() {

@@ -219,8 +219,8 @@ class SaeSystem : private UpdatePolicy {
   // update.
   uint64_t OwnerEpoch() const override { return owner_.epoch(); }
   bool HasRecord(RecordId id) const override { return owner_.HasRecord(id); }
-  Status Outsource(const std::vector<Record>& records) override;
-  Status Restore(const std::vector<Record>& records, uint64_t epoch) override;
+  Result<std::vector<Record>> Outsource(std::vector<Record> sorted) override;
+  Status Restore(std::vector<Record> sorted, uint64_t epoch) override;
   Result<size_t> ApplyInsert(const Record& record, bool replay) override;
   Result<size_t> ApplyDelete(RecordId id, bool replay) override;
   void AuthenticateRecovered() override {}
@@ -403,8 +403,8 @@ class TomSystem : private UpdatePolicy {
   // the recovered root once.
   uint64_t OwnerEpoch() const override { return owner_.epoch(); }
   bool HasRecord(RecordId id) const override { return owner_.HasRecord(id); }
-  Status Outsource(const std::vector<Record>& records) override;
-  Status Restore(const std::vector<Record>& records, uint64_t epoch) override;
+  Result<std::vector<Record>> Outsource(std::vector<Record> sorted) override;
+  Status Restore(std::vector<Record> sorted, uint64_t epoch) override;
   Result<size_t> ApplyInsert(const Record& record, bool replay) override;
   Result<size_t> ApplyDelete(RecordId id, bool replay) override;
   void AuthenticateRecovered() override;
@@ -416,6 +416,9 @@ class TomSystem : private UpdatePolicy {
   void BeforeFirstUpdate() override;
 
   const TomServiceProvider* StaleSp();
+  /// Builds the owner's and the SP's ADS over `sorted` at `epoch`, both
+  /// unsigned.
+  Status LoadParties(const std::vector<Record>& sorted, uint64_t epoch);
   /// Ships one update's `message` plus the new root signature to the SP;
   /// returns the signature message's size.
   size_t ShipWithSignature(const std::vector<uint8_t>& message);

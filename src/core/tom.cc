@@ -5,6 +5,9 @@
 
 #include "core/tom.h"
 
+#include <mutex>
+#include <utility>
+
 #include "core/malicious_sp.h"
 #include "core/messages.h"
 #include "util/macros.h"
@@ -14,12 +17,29 @@ namespace sae::core {
 
 // --- TomDataOwner -------------------------------------------------------------
 
+namespace {
+
+/// RsaGenerateKey is deterministic in (seed, bits) and costs tens of
+/// milliseconds, so each pair's key is generated once per process.
+crypto::RsaPrivateKey KeyFor(uint64_t seed, size_t bits) {
+  static std::mutex mu;
+  static std::map<std::pair<uint64_t, size_t>, crypto::RsaPrivateKey> keys;
+  std::lock_guard<std::mutex> lock(mu);
+  auto [it, fresh] = keys.try_emplace({seed, bits});
+  if (fresh) {
+    Rng rng(seed);
+    it->second = crypto::RsaGenerateKey(&rng, bits);
+  }
+  return it->second;
+}
+
+}  // namespace
+
 TomDataOwner::TomDataOwner(const Options& options)
     : options_(options),
       codec_(options.record_size),
       pool_(&store_, options.pool_pages) {
-  Rng rng(options_.rsa_seed);
-  key_ = crypto::RsaGenerateKey(&rng, options_.rsa_modulus_bits);
+  key_ = KeyFor(options_.rsa_seed, options_.rsa_modulus_bits);
   mbtree::MbTreeOptions mb = options_.mb_options;
   mb.scheme = options_.scheme;
   auto tree = mbtree::MbTree::Create(&pool_, mb);
@@ -37,14 +57,8 @@ void TomDataOwner::Sign() {
   ++signatures_;
 }
 
-Status TomDataOwner::LoadDataset(const std::vector<Record>& sorted) {
-  SAE_RETURN_NOT_OK(RestoreDataset(sorted, 1));  // outsourcing is epoch 1
-  Sign();
-  return Status::OK();
-}
-
-Status TomDataOwner::RestoreDataset(const std::vector<Record>& sorted,
-                                    uint64_t epoch) {
+Status TomDataOwner::LoadDataset(const std::vector<Record>& sorted,
+                                 uint64_t epoch) {
   std::vector<crypto::Digest> digests =
       storage::DigestRecords(sorted, codec_, options_.scheme);
   std::vector<mbtree::MbEntry> entries;

@@ -49,13 +49,10 @@ class TomDataOwner {
 
   explicit TomDataOwner(const Options& options = {});
 
-  /// Builds the local ADS over the (key-sorted) dataset and signs its root
-  /// at epoch 1.
-  Status LoadDataset(const std::vector<Record>& sorted);
-
-  /// Recovery: builds the local ADS over checkpointed (key-sorted) records
-  /// at `epoch` WITHOUT signing; Sign() once the WAL tail is replayed.
-  Status RestoreDataset(const std::vector<Record>& sorted, uint64_t epoch);
+  /// Builds the local ADS over the (key-sorted) dataset at `epoch` WITHOUT
+  /// signing: outsourcing loads epoch 1 and then calls Sign(); recovery
+  /// loads the checkpoint's epoch and signs once the WAL tail is replayed.
+  Status LoadDataset(const std::vector<Record>& sorted, uint64_t epoch);
 
   /// Applies one update to the local ADS and bumps the epoch. `sign`
   /// re-signs the root at the new epoch, as every published epoch needs;

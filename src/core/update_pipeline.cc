@@ -5,6 +5,8 @@
 
 #include "core/update_pipeline.h"
 
+#include <algorithm>
+
 #include "sim/cost_model.h"
 #include "util/macros.h"
 
@@ -25,42 +27,46 @@ void UpdatePipeline::PublishLocked() {
   published_epoch_.store(staged_epoch_, std::memory_order_release);
 }
 
-Result<SnapshotState> UpdatePipeline::CaptureStateLocked() const {
+SnapshotState UpdatePipeline::StateOf(std::vector<Record> records,
+                                      const crypto::Digest& digest_xor) const {
   SnapshotState state;
   state.model = model_;
   state.record_size = record_size_;
   state.scheme = scheme_;
-  SAE_ASSIGN_OR_RETURN(state.records, policy_->CaptureRecords());
-  SAE_ASSIGN_OR_RETURN(state.digest_xor, policy_->DigestXor());
+  state.records = std::move(records);
+  state.digest_xor = digest_xor;
   return state;
 }
 
 Status UpdatePipeline::Load(const std::vector<Record>& records) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  SAE_RETURN_NOT_OK(policy_->Outsource(records));
+  // One key-ordered copy serves both parties and the baseline snapshot.
+  // Every caller already passes key order, so the sort is skipped then.
+  std::vector<Record> sorted = records;
+  if (!std::is_sorted(sorted.begin(), sorted.end(), storage::KeyIdLess)) {
+    std::sort(sorted.begin(), sorted.end(), storage::KeyIdLess);
+  }
+  SAE_ASSIGN_OR_RETURN(std::vector<Record> baseline,
+                       policy_->Outsource(std::move(sorted)));
   PublishLocked();
   if (!durability_options_.enabled) return Status::OK();
   SAE_ASSIGN_OR_RETURN(durability_,
                        DurabilityManager::Open(durability_options_));
   // The epoch-1 baseline: until this snapshot is durable, a crash means
   // re-outsourcing from the DO's master copy (Recover -> kNotFound).
-  SAE_ASSIGN_OR_RETURN(SnapshotState state, CaptureStateLocked());
-  return durability_->WriteSnapshot(policy_->OwnerEpoch(), std::move(state));
+  SAE_ASSIGN_OR_RETURN(crypto::Digest digest_xor, policy_->DigestXor());
+  return durability_->CheckpointFull(policy_->OwnerEpoch(),
+                                     StateOf(std::move(baseline), digest_xor),
+                                     /*sync=*/true);
 }
 
 Status UpdatePipeline::Recover() {
   std::unique_lock<std::shared_mutex> lock(mu_);
   RecoveryStats timing;
-  sim::Stopwatch watch;
-  auto lap = [&watch] {
-    const double ms = watch.ElapsedMs();
-    watch.Restart();
-    return ms;
-  };
   SAE_ASSIGN_OR_RETURN(std::unique_ptr<DurabilityManager> mgr,
-                       DurabilityManager::Open(durability_options_));
-  timing.open_ms = lap();
-  const DurabilityManager::Recovered& rec = mgr->recovered();
+                       DurabilityManager::Open(durability_options_, &timing));
+  sim::Stopwatch watch;
+  DurabilityManager::Recovered& rec = mgr->recovered();
   if (!rec.has_snapshot) {
     return Status::NotFound("no durable snapshot to recover from");
   }
@@ -71,9 +77,11 @@ Status UpdatePipeline::Recover() {
       rec.snapshot.scheme != scheme_) {
     return Status::Corruption("snapshot configuration does not match options");
   }
+  // The composed records move into Restore, which frees them once the
+  // parties are built.
   SAE_RETURN_NOT_OK(
-      policy_->Restore(rec.snapshot.records, rec.snapshot_epoch));
-  timing.restore_ms = lap();
+      policy_->Restore(std::move(rec.snapshot.records), rec.snapshot_epoch));
+  timing.restore_ms = watch.LapMs();
   // The rebuilt parties must commit to exactly the checkpointed records
   // before any client sees them.
   SAE_ASSIGN_OR_RETURN(crypto::Digest rebuilt, policy_->DigestXor());
@@ -81,7 +89,7 @@ Status UpdatePipeline::Recover() {
     return Status::Corruption(
         "recovered records do not match the snapshot digest");
   }
-  timing.check_ms = lap();
+  timing.check_ms = watch.LapMs();
   // Replay the WAL tail through the normal apply path. Records at or below
   // the snapshot epoch are already inside it (a crash can land between the
   // snapshot rename and the WAL segment drop); later records must chain
@@ -100,12 +108,12 @@ Status UpdatePipeline::Recover() {
     }
     ++timing.replayed;
   }
-  timing.replay_ms = lap();
+  timing.replay_ms = watch.LapMs();
   // Authenticate once, after the tail: the unique lock is held and nothing
   // is published before PublishLocked below, so no client can observe a
   // replayed epoch, and replay itself never reads a signature.
   policy_->AuthenticateRecovered();
-  timing.sign_ms = lap();
+  timing.sign_ms = watch.LapMs();
   PublishLocked();
   durability_ = std::move(mgr);
   recovery_stats_ = timing;
@@ -157,12 +165,14 @@ Status UpdatePipeline::CheckpointIfDueLocked() {
   checkpoint_due_ = false;
   apply_cv_.notify_all();
   const uint64_t epoch = policy_->OwnerEpoch();
+  SAE_ASSIGN_OR_RETURN(crypto::Digest digest_xor, policy_->DigestXor());
   if (durability_->NextCheckpointIsFull()) {
-    SAE_ASSIGN_OR_RETURN(SnapshotState state, CaptureStateLocked());
-    return durability_->CheckpointFull(epoch, std::move(state));
+    SAE_ASSIGN_OR_RETURN(std::vector<Record> records,
+                         policy_->CaptureRecords());
+    return durability_->CheckpointFull(
+        epoch, StateOf(std::move(records), digest_xor));
   }
   // O(changes): the pending set accumulated at stage time IS the delta.
-  SAE_ASSIGN_OR_RETURN(crypto::Digest digest_xor, policy_->DigestXor());
   return durability_->CheckpointDelta(epoch, digest_xor);
 }
 

@@ -64,16 +64,6 @@ struct UpdateStats {
   double latency_ms = 0.0;      ///< summed wall time in the writer section
 };
 
-/// Where one Recover() spent its wall time, phase by phase.
-struct RecoveryStats {
-  double open_ms = 0.0;     ///< snapshot chain decode + WAL scan
-  double restore_ms = 0.0;  ///< rebuilding the parties from the snapshot
-  double check_ms = 0.0;    ///< digest-XOR check against the snapshot
-  double replay_ms = 0.0;   ///< applying the WAL tail
-  double sign_ms = 0.0;     ///< AuthenticateRecovered (TOM: one signature)
-  uint64_t replayed = 0;    ///< WAL tail records applied
-};
-
 /// What one outsourcing model supplies to the pipeline. Every call runs
 /// under the pipeline's unique lock.
 class UpdatePolicy {
@@ -82,13 +72,14 @@ class UpdatePolicy {
   virtual uint64_t OwnerEpoch() const = 0;
   /// Whether the owner's master copy holds `id`.
   virtual bool HasRecord(RecordId id) const = 0;
-  /// Outsources `records` to the parties as epoch 1.
-  virtual Status Outsource(const std::vector<Record>& records) = 0;
-  /// Recovery: rebuilds the parties from checkpointed `records` and rewinds
-  /// them to `epoch`. Authentication may be left stale until
-  /// AuthenticateRecovered.
-  virtual Status Restore(const std::vector<Record>& records,
-                         uint64_t epoch) = 0;
+  /// Outsources `sorted` (storage::KeyIdLess order) to the parties as
+  /// epoch 1 and hands the records back as the epoch-1 baseline snapshot
+  /// persists them: exactly what CaptureRecords() would return now.
+  virtual Result<std::vector<Record>> Outsource(std::vector<Record> sorted) = 0;
+  /// Recovery: rebuilds the parties from checkpointed `sorted` records
+  /// (KeyIdLess order) and rewinds them to `epoch`. Authentication may be
+  /// left stale until AuthenticateRecovered.
+  virtual Status Restore(std::vector<Record> sorted, uint64_t epoch) = 0;
   /// Apply one update through the owner to every party, bumping the epoch;
   /// return the authentication bytes shipped with it. `replay` marks a WAL
   /// record re-applied by Recover: the update crossed the network before
@@ -176,7 +167,9 @@ class UpdatePipeline {
   /// Durably retracts every staged record from `first_epoch` on and
   /// re-arms; fails stop when the retraction cannot be made durable.
   void RetractLocked(uint64_t first_epoch);
-  Result<SnapshotState> CaptureStateLocked() const;
+  /// A full checkpoint's state: `records` under this system's header.
+  SnapshotState StateOf(std::vector<Record> records,
+                        const crypto::Digest& digest_xor) const;
   /// Captures the due checkpoint once nothing is staged-but-unapplied:
   /// the WAL rotation inside the capture is then barrier-free and the
   /// pending set is exactly the state delta.

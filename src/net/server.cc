@@ -5,6 +5,8 @@
 
 #include "net/server.h"
 
+#include <algorithm>
+
 #include "core/messages.h"
 #include "mbtree/vo.h"
 
@@ -40,9 +42,10 @@ std::vector<uint8_t> PoisonQueryFrame(const dbms::QueryRequest& request) {
 }
 
 std::vector<uint8_t> ErrorFrame(const Status& status) {
-  std::vector<uint8_t> payload = {kCtlError};
   const std::string& msg = status.message();
-  payload.insert(payload.end(), msg.begin(), msg.end());
+  std::vector<uint8_t> payload(1 + msg.size());
+  payload[0] = kCtlError;
+  std::copy(msg.begin(), msg.end(), payload.begin() + 1);
   return payload;
 }
 

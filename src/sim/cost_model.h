@@ -32,6 +32,13 @@ class Stopwatch {
         .count();
   }
 
+  /// Elapsed milliseconds, then restarts: one phase of a multi-phase run.
+  double LapMs() {
+    const double ms = ElapsedMs();
+    Restart();
+    return ms;
+  }
+
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

@@ -40,6 +40,13 @@ struct Record {
   }
 };
 
+/// The (key, id) order records are shipped, bulk-loaded and checkpointed
+/// in; a total order, since ids are unique. A function object, so sorts
+/// inline the comparison.
+inline constexpr auto KeyIdLess = [](const Record& a, const Record& b) {
+  return a.key != b.key ? a.key < b.key : a.id < b.id;
+};
+
 /// Serializes/deserializes records at a fixed total size.
 class RecordCodec {
  public:

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <initializer_list>
 
 #include "storage/wal.h"  // Crc32
 #include "util/codec.h"
@@ -30,8 +31,6 @@ constexpr uint32_t kDeltaMagic = 0x53414544;     // "SAED"
 // torn files, so a directory holding only version-1 images recovers as
 // kNotFound (re-outsource from the owner) rather than as corruption.
 constexpr uint32_t kSnapshotVersion = 2;
-constexpr size_t kSnapshotHeader = 4 + 4 + 8 + 8;
-constexpr size_t kDeltaHeader = 4 + 4 + 8 + 8 + 8;
 constexpr const char* kTmpName = "snap.tmp";
 constexpr const char* kSnapPrefix = "snap-";
 constexpr const char* kDeltaPrefix = "delta-";
@@ -68,6 +67,53 @@ bool ParseDeltaName(const std::string& name, uint64_t* base,
          ParseDigits(name, prefix + kEpochDigits + 1, kEpochDigits, epoch);
 }
 
+/// The header fields an image must carry before its payload length: magic,
+/// version, then the epoch(s) its file name states.
+std::vector<uint8_t> HeaderPrefix(uint32_t magic,
+                                  std::initializer_list<uint64_t> epochs) {
+  ByteWriter w;
+  w.PutU32(magic);
+  w.PutU32(kSnapshotVersion);
+  for (uint64_t epoch : epochs) w.PutU64(epoch);
+  return w.Release();
+}
+
+/// Reads and validates the image at `path`: its header must be `prefix`
+/// plus the u64 payload length, and the CRC-32 trailer must cover header ||
+/// payload. The payload is read straight into its own buffer. Any mismatch
+/// is kCorruption.
+Result<std::vector<uint8_t>> ReadImage(Vfs* vfs, const std::string& path,
+                                       const std::vector<uint8_t>& prefix) {
+  SAE_ASSIGN_OR_RETURN(std::unique_ptr<VfsFile> file, vfs->Open(path, false));
+  SAE_ASSIGN_OR_RETURN(uint64_t size, file->Size());
+  std::vector<uint8_t> header(prefix.size() + 8);
+  if (size < header.size() + 4) return Status::Corruption("image is torn");
+  SAE_ASSIGN_OR_RETURN(size_t got,
+                       file->ReadAt(0, header.data(), header.size()));
+  if (got < header.size()) return Status::Corruption("image is torn");
+  if (!std::equal(prefix.begin(), prefix.end(), header.begin())) {
+    return Status::Corruption("image header does not match its name");
+  }
+  const uint64_t payload_len = DecodeU64(header.data() + prefix.size());
+  if (size - header.size() - 4 != payload_len) {
+    return Status::Corruption("image length lies");
+  }
+  std::vector<uint8_t> payload(payload_len);
+  uint8_t trailer[4];
+  SAE_ASSIGN_OR_RETURN(got,
+                       file->ReadAt(header.size(), payload.data(), payload_len));
+  SAE_ASSIGN_OR_RETURN(size_t trailer_got,
+                       file->ReadAt(size - 4, trailer, sizeof(trailer)));
+  if (got < payload_len || trailer_got < sizeof(trailer)) {
+    return Status::Corruption("image is torn");
+  }
+  if (Crc32(payload.data(), payload_len,
+            Crc32(header.data(), header.size())) != DecodeU32(trailer)) {
+    return Status::Corruption("image checksum mismatch");
+  }
+  return payload;
+}
+
 }  // namespace
 
 SnapshotStore::SnapshotStore(Vfs* vfs, std::string dir, size_t keep)
@@ -89,16 +135,29 @@ std::string SnapshotStore::DeltaPathFor(uint64_t base_epoch,
   return dir_ + "/" + name;
 }
 
-Status SnapshotStore::WriteImage(const std::vector<uint8_t>& image,
+Status SnapshotStore::WriteImage(std::vector<uint8_t> header,
+                                 const std::vector<uint8_t>& payload,
                                  const std::string& final_path) {
+  SAE_RETURN_NOT_OK(vfs_->MkDir(dir_));
+  header.resize(header.size() + 8);
+  EncodeU64(header.data() + header.size() - 8, uint64_t(payload.size()));
+  uint8_t trailer[4];
+  EncodeU32(trailer, Crc32(payload.data(), payload.size(),
+                           Crc32(header.data(), header.size())));
   // Temp-then-rename: content becomes durable at the Sync, the name at the
   // Rename. A crash before the rename leaves only snap.tmp (ignored by the
-  // name parsers); a crash after it leaves a complete file.
+  // name parsers); a crash after it leaves a complete file. The file is
+  // sized once and its three parts written in place, so the payload is
+  // never copied into a second image buffer.
   const std::string tmp = dir_ + "/" + kTmpName;
   {
     SAE_ASSIGN_OR_RETURN(std::unique_ptr<VfsFile> file, vfs_->Open(tmp, true));
-    SAE_RETURN_NOT_OK(file->Truncate(0));
-    SAE_RETURN_NOT_OK(file->WriteAt(0, image.data(), image.size()));
+    const uint64_t at = header.size() + payload.size();
+    SAE_RETURN_NOT_OK(file->Truncate(at + sizeof(trailer)));
+    SAE_RETURN_NOT_OK(file->WriteAt(0, header.data(), header.size()));
+    SAE_RETURN_NOT_OK(
+        file->WriteAt(header.size(), payload.data(), payload.size()));
+    SAE_RETURN_NOT_OK(file->WriteAt(at, trailer, sizeof(trailer)));
     SAE_RETURN_NOT_OK(file->Sync());
   }
   return vfs_->Rename(tmp, final_path);
@@ -106,17 +165,8 @@ Status SnapshotStore::WriteImage(const std::vector<uint8_t>& image,
 
 Status SnapshotStore::Write(uint64_t epoch,
                             const std::vector<uint8_t>& payload) {
-  SAE_RETURN_NOT_OK(vfs_->MkDir(dir_));
-
-  std::vector<uint8_t> image(kSnapshotHeader + payload.size() + 4);
-  EncodeU32(image.data(), kSnapshotMagic);
-  EncodeU32(image.data() + 4, kSnapshotVersion);
-  EncodeU64(image.data() + 8, epoch);
-  EncodeU64(image.data() + 16, uint64_t(payload.size()));
-  std::copy(payload.begin(), payload.end(), image.begin() + kSnapshotHeader);
-  EncodeU32(image.data() + kSnapshotHeader + payload.size(),
-            Crc32(image.data(), kSnapshotHeader + payload.size()));
-  SAE_RETURN_NOT_OK(WriteImage(image, PathFor(epoch)));
+  SAE_RETURN_NOT_OK(WriteImage(HeaderPrefix(kSnapshotMagic, {epoch}), payload,
+                               PathFor(epoch)));
 
   // Chain GC: a new full snapshot completes the previous chain. Keep the
   // newest keep_ fulls and every delta at or above the oldest kept full
@@ -141,17 +191,8 @@ Status SnapshotStore::Write(uint64_t epoch,
 
 Status SnapshotStore::WriteDelta(uint64_t base_epoch, uint64_t epoch,
                                  const std::vector<uint8_t>& payload) {
-  SAE_RETURN_NOT_OK(vfs_->MkDir(dir_));
-  std::vector<uint8_t> image(kDeltaHeader + payload.size() + 4);
-  EncodeU32(image.data(), kDeltaMagic);
-  EncodeU32(image.data() + 4, kSnapshotVersion);
-  EncodeU64(image.data() + 8, base_epoch);
-  EncodeU64(image.data() + 16, epoch);
-  EncodeU64(image.data() + 24, uint64_t(payload.size()));
-  std::copy(payload.begin(), payload.end(), image.begin() + kDeltaHeader);
-  EncodeU32(image.data() + kDeltaHeader + payload.size(),
-            Crc32(image.data(), kDeltaHeader + payload.size()));
-  return WriteImage(image, DeltaPathFor(base_epoch, epoch));
+  return WriteImage(HeaderPrefix(kDeltaMagic, {base_epoch, epoch}), payload,
+                    DeltaPathFor(base_epoch, epoch));
 }
 
 Result<std::vector<uint64_t>> SnapshotStore::ListEpochs() const {
@@ -184,31 +225,14 @@ Result<SnapshotStore::Loaded> SnapshotStore::LoadLatest() const {
   // the next-newest (the keep >= 2 fallback).
   for (size_t attempt = 0; attempt < epochs.size(); ++attempt) {
     uint64_t epoch = epochs[epochs.size() - 1 - attempt];
-    auto file_or = vfs_->Open(PathFor(epoch), false);
-    if (!file_or.ok()) {
-      if (file_or.status().code() == StatusCode::kNotFound) continue;
-      return file_or.status();
+    auto payload =
+        ReadImage(vfs_, PathFor(epoch), HeaderPrefix(kSnapshotMagic, {epoch}));
+    if (payload.status().code() == StatusCode::kCorruption ||
+        payload.status().code() == StatusCode::kNotFound) {
+      continue;
     }
-    std::unique_ptr<VfsFile> file = std::move(file_or.value());
-    SAE_ASSIGN_OR_RETURN(uint64_t size, file->Size());
-    if (size < kSnapshotHeader + 4) continue;  // torn
-    std::vector<uint8_t> image(size);
-    SAE_ASSIGN_OR_RETURN(size_t got, file->ReadAt(0, image.data(), size));
-    if (got < size) continue;
-    if (DecodeU32(image.data()) != kSnapshotMagic) continue;
-    if (DecodeU32(image.data() + 4) != kSnapshotVersion) continue;
-    uint64_t header_epoch = DecodeU64(image.data() + 8);
-    uint64_t payload_len = DecodeU64(image.data() + 16);
-    if (header_epoch != epoch) continue;  // file renamed by hand
-    if (kSnapshotHeader + payload_len + 4 != size) continue;
-    uint32_t stored_crc = DecodeU32(image.data() + size - 4);
-    if (Crc32(image.data(), size - 4) != stored_crc) continue;
-
-    Loaded loaded;
-    loaded.epoch = epoch;
-    loaded.payload.assign(image.begin() + kSnapshotHeader, image.end() - 4);
-    loaded.fell_back = attempt > 0;
-    return loaded;
+    SAE_RETURN_NOT_OK(payload.status());
+    return Loaded{epoch, std::move(payload.value()), attempt > 0};
   }
   return Status::NotFound("no valid snapshot in " + dir_);
 }
@@ -222,30 +246,8 @@ Result<std::vector<uint8_t>> SnapshotStore::ReadDelta(uint64_t base_epoch,
     // walk on a link that never moves the cursor forward.
     return Status::Corruption("delta does not advance its base epoch");
   }
-  SAE_ASSIGN_OR_RETURN(std::unique_ptr<VfsFile> file,
-                       vfs_->Open(DeltaPathFor(base_epoch, epoch), false));
-  SAE_ASSIGN_OR_RETURN(uint64_t size, file->Size());
-  if (size < kDeltaHeader + 4) {
-    return Status::Corruption("delta file is torn");
-  }
-  std::vector<uint8_t> image(size);
-  SAE_ASSIGN_OR_RETURN(size_t got, file->ReadAt(0, image.data(), size));
-  if (got < size) return Status::Corruption("delta file is torn");
-  if (DecodeU32(image.data()) != kDeltaMagic ||
-      DecodeU32(image.data() + 4) != kSnapshotVersion ||
-      DecodeU64(image.data() + 8) != base_epoch ||
-      DecodeU64(image.data() + 16) != epoch) {
-    return Status::Corruption("delta header does not match its name");
-  }
-  uint64_t payload_len = DecodeU64(image.data() + 24);
-  if (kDeltaHeader + payload_len + 4 != size) {
-    return Status::Corruption("delta length lies");
-  }
-  uint32_t stored_crc = DecodeU32(image.data() + size - 4);
-  if (Crc32(image.data(), size - 4) != stored_crc) {
-    return Status::Corruption("delta checksum mismatch");
-  }
-  return std::vector<uint8_t>(image.begin() + kDeltaHeader, image.end() - 4);
+  return ReadImage(vfs_, DeltaPathFor(base_epoch, epoch),
+                   HeaderPrefix(kDeltaMagic, {base_epoch, epoch}));
 }
 
 Result<SnapshotStore::LoadedChain> SnapshotStore::LoadChain() const {

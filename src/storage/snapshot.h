@@ -103,13 +103,13 @@ class SnapshotStore {
   Result<std::vector<uint8_t>> ReadDelta(uint64_t base_epoch,
                                          uint64_t epoch) const;
 
-  const std::string& dir() const { return dir_; }
-
  private:
   std::string PathFor(uint64_t epoch) const;
   std::string DeltaPathFor(uint64_t base_epoch, uint64_t epoch) const;
-  /// Shared temp-write + sync + rename tail of both Write flavors.
-  Status WriteImage(const std::vector<uint8_t>& image,
+  /// Shared temp-write + sync + rename tail of both Write flavors: writes
+  /// `header` || payload length || payload || CRC-32 of all before it.
+  Status WriteImage(std::vector<uint8_t> header,
+                    const std::vector<uint8_t>& payload,
                     const std::string& final_path);
 
   Vfs* vfs_;

@@ -15,15 +15,24 @@ namespace sae::storage {
 
 namespace {
 
+// Slice-by-8: entries[k][b] is the CRC register after byte b followed by k
+// zero bytes, so one step folds eight input bytes with eight lookups.
+// entries[0] is the classic bytewise table; the values are identical.
 struct Crc32Table {
-  uint32_t entries[256];
+  uint32_t entries[8][256];
   Crc32Table() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t crc = i;
       for (int bit = 0; bit < 8; ++bit) {
         crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0u);
       }
-      entries[i] = crc;
+      entries[0][i] = crc;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        uint32_t prev = entries[k - 1][i];
+        entries[k][i] = (prev >> 8) ^ entries[0][prev & 0xFF];
+      }
     }
   }
 };
@@ -33,13 +42,20 @@ constexpr size_t kWalSeqDigits = 20;  // zero-padded u64 — names sort by seq
 
 }  // namespace
 
-uint32_t Crc32(const uint8_t* data, size_t len) {
+uint32_t Crc32(const uint8_t* data, size_t len, uint32_t crc) {
   static const Crc32Table table;
-  uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    crc = (crc >> 8) ^ table.entries[(crc ^ data[i]) & 0xFF];
+  const auto& t = table.entries;
+  crc = ~crc;
+  for (; len >= 8; data += 8, len -= 8) {
+    // Little-endian fold: the register absorbs the first four bytes.
+    const uint32_t lo = crc ^ DecodeU32(data);
+    const uint32_t hi = DecodeU32(data + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
   }
-  return crc ^ 0xFFFFFFFFu;
+  for (; len > 0; ++data, --len) crc = (crc >> 8) ^ t[0][(crc ^ *data) & 0xFF];
+  return ~crc;
 }
 
 Result<WalContents> ReadLog(Vfs* vfs, const std::string& path) {

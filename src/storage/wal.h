@@ -57,7 +57,8 @@ inline constexpr uint32_t kMaxWalPayload = 1u << 20;
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320) — the WAL and snapshot
 /// integrity checksum. Not cryptographic: it detects torn writes and media
 /// corruption; authenticity comes from the verification layer above.
-uint32_t Crc32(const uint8_t* data, size_t len);
+/// `crc` continues an earlier result: Crc32(b, Crc32(a)) == Crc32(a || b).
+uint32_t Crc32(const uint8_t* data, size_t len, uint32_t crc = 0);
 
 /// The scanned content of a log file: the records of the valid prefix, the
 /// byte offset where validity ends, and whether garbage followed it.

@@ -38,6 +38,10 @@ inline uint64_t DecodeU64(const uint8_t* src) {
 /// buffer size is what the simulation meters as network bytes.
 class ByteWriter {
  public:
+  /// Pre-sizes the buffer for `n` more bytes, so a writer that knows its
+  /// final size fills one allocation instead of growing by doubling.
+  void Reserve(size_t n) { buf_.reserve(buf_.size() + n); }
+
   void PutU8(uint8_t v) { buf_.push_back(v); }
   void PutU16(uint16_t v) { PutRaw(&v, 2); }
   void PutU32(uint32_t v) { PutRaw(&v, 4); }

@@ -8,7 +8,9 @@
 // suite must be clean under ThreadSanitizer (the CI tsan job runs it).
 
 #include <atomic>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -140,7 +142,7 @@ class SaeConcurrencyTest : public ::testing::Test {
  protected:
   SaeConcurrencyTest()
       : system_(SaeSystem::Options{kRecSize, crypto::HashScheme::kSha1, 256,
-                                   256, 256, {}, {}, {}, {}}) {
+                                   256, 256, {}, {}, {}, {}, {}}) {
     SAE_CHECK_OK(system_.Load(SmallDataset(2000)));
   }
 
@@ -400,10 +402,16 @@ TEST(CacheConcurrencyTest, AnswerCacheReplaysExactBytesUnderInvalidation) {
 // the answer caches, and invalidates digest entries along its update path.
 // Every honest outcome must still verify: a torn cache entry or a stale
 // digest surviving invalidation would surface as a verification failure.
+// The writer starts only once every reader has answered (and so cached)
+// its first query, so the first epoch bump always flushes a filled SP
+// answer cache whatever the thread schedule.
 template <typename System>
 void RunCachedReadersVsWriter(System* system, size_t queries_per_reader) {
   RecordCodec codec(kRecSize);
   std::vector<std::string> errors(kThreads);
+  std::mutex latch_mu;
+  std::condition_variable latch_cv;
+  size_t warmed_readers = 0;
   std::vector<std::thread> readers;
   for (size_t t = 0; t < kThreads; ++t) {
     readers.emplace_back([&, t] {
@@ -419,11 +427,20 @@ void RunCachedReadersVsWriter(System* system, size_t queries_per_reader) {
           err << "query [" << lo << "] rejected: "
               << outcome.value().verification.ToString() << "; ";
         }
+        if (i == 0) {
+          std::lock_guard<std::mutex> lock(latch_mu);
+          ++warmed_readers;
+          latch_cv.notify_all();
+        }
       }
       errors[t] = err.str();
     });
   }
   std::thread writer([&] {
+    {
+      std::unique_lock<std::mutex> lock(latch_mu);
+      latch_cv.wait(lock, [&] { return warmed_readers == kThreads; });
+    }
     for (uint64_t i = 0; i < 24; ++i) {
       SAE_CHECK_OK(
           system->Insert(codec.MakeRecord(500'000 + i, uint32_t(i * 793))));
@@ -436,7 +453,7 @@ void RunCachedReadersVsWriter(System* system, size_t queries_per_reader) {
 
 TEST(CacheConcurrencyTest, SaeCachedReadsVerifyDuringWrites) {
   SaeSystem system(SaeSystem::Options{kRecSize, crypto::HashScheme::kSha1,
-                                      256, 256, 256, {}, {}, {}, {}});
+                                      256, 256, 256, {}, {}, {}, {}, {}});
   SAE_CHECK_OK(system.Load(SmallDataset(2000)));
   RunCachedReadersVsWriter(&system, 60);
   core::SaeCacheStats stats = system.cache_stats();

@@ -183,8 +183,8 @@ class SaeEntitiesTest : public ::testing::Test {
         owner_(kRecSize) {}
 
   void Outsource(size_t n) {
-    ASSERT_TRUE(owner_.SetDataset(SmallDataset(n)).ok());
-    ASSERT_TRUE(owner_.Outsource(&sp_, &te_, &do_sp_, &do_te_).ok());
+    ASSERT_TRUE(
+        owner_.Outsource(SmallDataset(n), &sp_, &te_, &do_sp_, &do_te_).ok());
   }
 
   ServiceProvider sp_;
@@ -327,7 +327,8 @@ class TomEntitiesTest : public ::testing::Test {
 
   void Load(size_t n) {
     auto records = SmallDataset(n);
-    ASSERT_TRUE(owner_.LoadDataset(records).ok());
+    ASSERT_TRUE(owner_.LoadDataset(records, 1).ok());
+    owner_.Sign();
     ASSERT_TRUE(
         sp_.LoadDataset(records, owner_.signature(), owner_.epoch()).ok());
   }

@@ -259,10 +259,12 @@ TEST(LoopbackGoldenTest, ServerDropsLyingLengthPrefix) {
 class NetServingTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    sp_ = std::make_unique<core::ServiceProvider>(
-        core::ServiceProviderOptions{.record_size = kRecSize});
-    te_ = std::make_unique<core::TrustedEntity>(
-        core::TrustedEntityOptions{.record_size = kRecSize});
+    core::ServiceProviderOptions sp_options;
+    sp_options.record_size = kRecSize;
+    core::TrustedEntityOptions te_options;
+    te_options.record_size = kRecSize;
+    sp_ = std::make_unique<core::ServiceProvider>(sp_options);
+    te_ = std::make_unique<core::TrustedEntity>(te_options);
     sp_server_ = std::make_unique<net::SpServer>(sp_.get());
     te_server_ = std::make_unique<net::TeServer>(te_.get());
     ASSERT_TRUE(sp_server_->Start().ok());
@@ -445,12 +447,15 @@ TEST_F(NetServingTest, ConcurrentClientsAllVerify) {
 class TomNetTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    owner_ = std::make_unique<core::TomDataOwner>(
-        core::TomDataOwnerOptions{.record_size = kRecSize});
-    sp_ = std::make_unique<core::TomServiceProvider>(
-        core::TomServiceProviderOptions{.record_size = kRecSize});
+    core::TomDataOwnerOptions owner_options;
+    owner_options.record_size = kRecSize;
+    core::TomServiceProviderOptions sp_options;
+    sp_options.record_size = kRecSize;
+    owner_ = std::make_unique<core::TomDataOwner>(owner_options);
+    sp_ = std::make_unique<core::TomServiceProvider>(sp_options);
     dataset_ = Dataset(100);
-    ASSERT_TRUE(owner_->LoadDataset(dataset_).ok());
+    ASSERT_TRUE(owner_->LoadDataset(dataset_, 1).ok());
+    owner_->Sign();
 
     sp_server_ = std::make_unique<net::TomSpServer>(sp_.get());
     ASSERT_TRUE(sp_server_->Start().ok());

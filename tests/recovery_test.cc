@@ -29,6 +29,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -37,10 +38,12 @@
 
 #include "core/sharded_system.h"
 #include "core/system.h"
+#include "crypto/sha256.h"
 #include "storage/fault_fs.h"
 #include "storage/snapshot.h"
 #include "storage/wal.h"
 #include "util/codec.h"
+#include "util/hex.h"
 
 namespace sae {
 namespace {
@@ -1298,6 +1301,241 @@ TEST(Recovery, Version1SnapshotsRecoverAsNotFound) {
       DurableOptions<SaeSystem>(crypto::HashScheme::kSha1, &fs, "/db"));
   EXPECT_EQ(recovered.status().code(), StatusCode::kNotFound)
       << recovered.status().message();
+}
+
+// --- chain composition ------------------------------------------------------
+
+// The chain composition as DurabilityManager::Open first implemented it:
+// every base record into one id-keyed map, each link's removes then upserts,
+// then one sort by (key, id). Open must compose to exactly this.
+std::vector<Record> MapAndSortCompose(
+    const std::vector<Record>& base,
+    const std::vector<core::DeltaState>& deltas) {
+  std::map<RecordId, Record> by_id;
+  for (const Record& record : base) by_id[record.id] = record;
+  for (const core::DeltaState& delta : deltas) {
+    for (RecordId id : delta.removes) by_id.erase(id);
+    for (const Record& record : delta.upserts) by_id[record.id] = record;
+  }
+  std::vector<Record> out;
+  for (auto& [id, record] : by_id) out.push_back(record);
+  std::sort(out.begin(), out.end(), storage::KeyIdLess);
+  return out;
+}
+
+// Writes `base` as the full snapshot at epoch 1 and `deltas` as the links
+// 1 -> 2 -> 3 ..., then returns the records DurabilityManager::Open
+// composes from that chain.
+std::vector<Record> ComposeOnDisk(const std::vector<Record>& base,
+                                  const std::vector<core::DeltaState>& deltas) {
+  FaultFs fs;
+  storage::SnapshotStore store(&fs, "/db");
+  SnapshotState state;
+  state.record_size = kRecordSize;
+  state.records = base;
+  EXPECT_TRUE(store.Write(1, core::EncodeSnapshotState(state)).ok());
+  for (size_t i = 0; i < deltas.size(); ++i) {
+    core::DeltaState delta = deltas[i];
+    delta.record_size = kRecordSize;
+    EXPECT_TRUE(
+        store.WriteDelta(i + 1, i + 2, core::EncodeDeltaState(delta)).ok());
+  }
+  core::DurabilityOptions options;
+  options.enabled = true;
+  options.dir = "/db";
+  options.vfs = &fs;
+  auto mgr = DurabilityManager::Open(options);
+  EXPECT_TRUE(mgr.ok()) << mgr.status().message();
+  if (!mgr.ok()) return {};
+  EXPECT_EQ(mgr.value()->recovered().snapshot_epoch, deltas.size() + 1);
+  EXPECT_EQ(mgr.value()->recovered().chain_deltas, deltas.size());
+  return mgr.value()->recovered().snapshot.records;
+}
+
+Record Variant(const RecordCodec& codec, RecordId id, Key key, uint8_t tag) {
+  Record record = codec.MakeRecord(id, key);
+  record.payload[0] = tag;  // same id, different bytes than the base copy
+  return record;
+}
+
+TEST(Recovery, ChainCompositionMatchesMapAndSort) {
+  RecordCodec codec(kRecordSize);
+  std::vector<Record> base;
+  for (RecordId id = 1; id <= 40; ++id) {
+    base.push_back(codec.MakeRecord(id, Key((id * 7) % 13)));  // key ties
+  }
+  std::sort(base.begin(), base.end(), storage::KeyIdLess);
+  std::vector<core::DeltaState> deltas(4);
+  // 1 -> 2: plain removes, a fresh id, and id 12 moving to a new key.
+  deltas[0].removes = {3, 7, 10};
+  deltas[0].upserts = {Variant(codec, 12, 999, 1), codec.MakeRecord(41, 5)};
+  // 2 -> 3: id 3 comes back (removed, then re-inserted) at another key and
+  // with other bytes; the fresh id and the moved id go away again.
+  deltas[1].removes = {12, 41};
+  deltas[1].upserts = {Variant(codec, 3, 1000, 2)};
+  // 3 -> 4: id 3 moves once more; id 20 is removed and upserted in one
+  // link (the upsert wins); id 7 returns with its original bytes.
+  deltas[2].removes = {3, 20};
+  deltas[2].upserts = {Variant(codec, 3, 2, 3), codec.MakeRecord(7, 4),
+                       Variant(codec, 20, 0, 4), codec.MakeRecord(50, 12)};
+  // 4 -> 5: the first and the last record of the base go.
+  deltas[3].removes = {base.front().id, base.back().id};
+
+  std::vector<Record> expected = MapAndSortCompose(base, deltas);
+  EXPECT_EQ(ComposeOnDisk(base, deltas), expected);
+  // The same chain over a base written out of (key, id) order: the base
+  // is sorted first, and the composition is unchanged.
+  std::vector<Record> reversed(base.rbegin(), base.rend());
+  EXPECT_EQ(ComposeOnDisk(reversed, deltas), expected);
+  // A base repeating an id keeps its last copy, as the map does.
+  std::vector<Record> repeated = base;
+  repeated.push_back(Variant(codec, 15, 6, 5));
+  EXPECT_EQ(ComposeOnDisk(repeated, deltas),
+            MapAndSortCompose(repeated, deltas));
+  EXPECT_EQ(ComposeOnDisk(repeated, {}), MapAndSortCompose(repeated, {}));
+}
+
+// A CRC-valid base snapshot whose records are not in (key, id) order (the
+// writer never produces one) recovers to the state it describes.
+TEST(Recovery, OutOfOrderBaseSnapshotRecoversSorted) {
+  RecordCodec codec(kRecordSize);
+  FaultFs fs;
+  const auto options =
+      DurableOptions<SaeSystem>(crypto::HashScheme::kSha1, &fs, "/db");
+  std::vector<Record> dataset = SeedDataset(codec, 30);
+  {
+    SaeSystem system(options);
+    ASSERT_TRUE(system.Load(dataset).ok());
+  }
+  fs.DropVolatile();
+  storage::SnapshotStore store(&fs, "/db");
+  auto loaded = store.LoadLatest();
+  ASSERT_TRUE(loaded.ok());
+  auto state = core::DecodeSnapshotState(loaded.value().payload);
+  ASSERT_TRUE(state.ok());
+  std::reverse(state.value().records.begin(), state.value().records.end());
+  ASSERT_TRUE(
+      store.Write(loaded.value().epoch, core::EncodeSnapshotState(state.value()))
+          .ok());
+
+  auto recovered = SaeSystem::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  EXPECT_EQ(recovered.value()->epoch(), 1u);
+  EXPECT_EQ(FullScan(recovered.value().get()), dataset);
+  EXPECT_EQ(recovered.value()->owner().SortedDataset(), dataset);
+  VerifySweep(recovered.value().get());
+}
+
+// A snapshot payload whose record count lies (here: 2^32 - 1 records in a
+// few bytes) is kCorruption; the decoder never sizes a buffer by the count.
+TEST(Recovery, LyingRecordCountIsCorruption) {
+  SnapshotState state;
+  state.record_size = kRecordSize;
+  state.records = {RecordCodec(kRecordSize).MakeRecord(1, 1)};
+  std::vector<uint8_t> payload = core::EncodeSnapshotState(state);
+  EncodeU32(payload.data() + 6, 0xFFFFFFFFu);  // after model, size, scheme
+  EXPECT_EQ(core::DecodeSnapshotState(payload).status().code(),
+            StatusCode::kCorruption);
+  core::DeltaState delta;
+  delta.record_size = kRecordSize;
+  payload = core::EncodeDeltaState(delta);
+  EncodeU32(payload.data() + 6, 0xFFFFFFFFu);
+  EXPECT_EQ(core::DecodeDeltaState(payload).status().code(),
+            StatusCode::kCorruption);
+}
+
+// --- byte identity of set-up and recovery -------------------------------------
+
+// Every file in `dir`, name and bytes, folded into one SHA-256: pins the
+// WAL records and the snapshot and delta images.
+std::string DiskDigest(FaultFs* fs, const std::string& dir) {
+  std::vector<std::string> names = fs->List(dir).ValueOrDie();
+  std::sort(names.begin(), names.end());
+  crypto::Sha256 sha;
+  for (const std::string& name : names) {
+    auto file = fs->Open(dir + "/" + name, false).ValueOrDie();
+    std::vector<uint8_t> bytes(file->Size().ValueOrDie());
+    EXPECT_EQ(file->ReadAt(0, bytes.data(), bytes.size()).ValueOrDie(),
+              bytes.size());
+    sha.Update(name.data(), name.size());
+    sha.Update(bytes.data(), bytes.size());
+  }
+  uint8_t digest[crypto::Sha256::kDigestSize];
+  sha.Finish(digest);
+  return HexEncode(digest, sizeof(digest));
+}
+
+// SeedDataset with every fifth payload cut short: the parties' heaps store
+// such a record zero-padded, the SAE owner's master copy as given.
+std::vector<Record> MixedPayloadDataset(const RecordCodec& codec) {
+  std::vector<Record> records = SeedDataset(codec, 60);
+  for (size_t i = 0; i < records.size(); i += 5) records[i].payload.resize(9);
+  return records;
+}
+
+struct PinnedBytes {
+  uint64_t load_do_sp = 0;
+  uint64_t load_do_te = 0;
+  const char* load_disk = "";
+  const char* updated_disk = "";
+  uint64_t recovered_do_sp = 0;
+  uint64_t recovered_do_te = 0;
+};
+
+// Loads MixedPayloadDataset, runs the update schedule with cadence
+// checkpoints, cuts the power and recovers, checking the channel meters
+// and the on-disk bytes at each step against values the code produced
+// before set-up and recovery were restructured.
+template <typename System>
+void CheckPinnedBytes(const PinnedBytes& pins) {
+  constexpr bool kSae = std::is_same_v<System, SaeSystem>;
+  RecordCodec codec(kRecordSize);
+  FaultFs fs;
+  const auto options =
+      DurableOptions<System>(crypto::HashScheme::kSha1, &fs, "/db");
+  std::vector<Record> expected;
+  {
+    System system(options);
+    ASSERT_TRUE(system.Load(MixedPayloadDataset(codec)).ok());
+    EXPECT_EQ(system.do_sp_channel().total_bytes(), pins.load_do_sp);
+    if constexpr (kSae) {
+      EXPECT_EQ(system.do_te_channel().total_bytes(), pins.load_do_te);
+    }
+    EXPECT_EQ(DiskDigest(&fs, "/db"), pins.load_disk);
+    for (const Op& op : UpdateSchedule()) {
+      ASSERT_TRUE(ApplyOp(&system, op, codec).ok());
+      ASSERT_TRUE(system.WaitForCheckpoints().ok());
+    }
+    EXPECT_EQ(DiskDigest(&fs, "/db"), pins.updated_disk);
+    expected = FullScan(&system);
+  }
+  fs.DropVolatile();
+  auto recovered = System::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  EXPECT_EQ(FullScan(recovered.value().get()), expected);
+  EXPECT_EQ(recovered.value()->do_sp_channel().total_bytes(),
+            pins.recovered_do_sp);
+  if constexpr (kSae) {
+    EXPECT_EQ(recovered.value()->do_te_channel().total_bytes(),
+              pins.recovered_do_te);
+  }
+}
+
+TEST(Recovery, SaeLoadAndRecoverBytesArePinned) {
+  CheckPinnedBytes<SaeSystem>(
+      {3862, 3862,
+       "8e9089f4296b2f38f23476894916ac6c14007d8adfb2c0efe5ac37678f8202d0",
+       "3a7d953609cd7a7baf091f233b435826092798a291dcb652c93a86a5d5f57510",
+       4332, 4332});
+}
+
+TEST(Recovery, TomLoadAndRecoverBytesArePinned) {
+  // TOM recovery reads local disk and ships nothing.
+  CheckPinnedBytes<TomSystem>(
+      {3992, 0,
+       "758b11c6711e00681e423898ee781d74a75b45f4f2048f8271f66d1ed88f0648",
+       "21f21f0dd0ca27ca90b5f9d97bad64afdfe8e7cafe8f1e1f6cf2940cca824e38",
+       0, 0});
 }
 
 TEST(Recovery, ShardedSystemRecoversEveryShardAndItsDirectory) {

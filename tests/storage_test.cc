@@ -1,7 +1,8 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
 // Unit tests for src/storage: page store, buffer pool pin/evict/flush
-// semantics and access accounting, record codec, heap file.
+// semantics and access accounting, record codec, heap file, and the WAL and
+// snapshot checksum.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include "storage/heap_file.h"
 #include "storage/page_store.h"
 #include "storage/record.h"
+#include "storage/wal.h"
 #include "util/random.h"
 
 namespace sae::storage {
@@ -382,6 +384,64 @@ TEST(HeapFileStressTest, RandomInsertDeleteAgainstModel) {
   for (const auto& [rid, record] : model) {
     ASSERT_TRUE(heap.Get(rid, out.data()).ok());
     EXPECT_EQ(codec.Deserialize(out.data()), record);
+  }
+}
+
+// --- CRC-32 ----------------------------------------------------------------------
+
+// The classic bytewise CRC-32 (reflected 0xEDB88320, built bit by bit): the
+// reference the table-driven Crc32 must reproduce exactly, since the WAL and
+// snapshot files on disk carry its values.
+uint32_t ReferenceCrc32(const uint8_t* data, size_t len) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0u);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) b = uint8_t(rng.Next());
+  return bytes;
+}
+
+TEST(Crc32Test, CheckValue) {
+  const char* check = "123456789";
+  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check), 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  std::vector<uint8_t> bytes = RandomBytes(4096 + 8, 0xC2C);
+  for (size_t align = 0; align < 8; ++align) {
+    const uint8_t* base = bytes.data() + align;
+    for (size_t len = 0; len <= 4096; ++len) {
+      ASSERT_EQ(Crc32(base, len), ReferenceCrc32(base, len))
+          << "len " << len << " align " << align;
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceOnAFiftyMegabyteBuffer) {
+  std::vector<uint8_t> bytes = RandomBytes(50u << 20, 0x50);
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()),
+            ReferenceCrc32(bytes.data(), bytes.size()));
+}
+
+TEST(Crc32Test, ContinuingACrcEqualsOneCrcOverBoth) {
+  std::vector<uint8_t> bytes = RandomBytes(1000, 0xC0);
+  const uint32_t whole = Crc32(bytes.data(), bytes.size());
+  for (size_t split : {size_t(0), size_t(1), size_t(7), size_t(24),
+                       size_t(513), size_t(1000)}) {
+    EXPECT_EQ(Crc32(bytes.data() + split, bytes.size() - split,
+                    Crc32(bytes.data(), split)),
+              whole)
+        << "split " << split;
   }
 }
 

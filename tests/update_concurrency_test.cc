@@ -9,7 +9,8 @@
 // query carries the epoch it observed (the token/VO stamp), so after the
 // threads join we replay the updates in epoch order and require each
 // query's results to equal the oracle state at exactly its epoch. Run for
-// both SAE and TOM; the whole suite is part of the CI ThreadSanitizer job.
+// both SAE and TOM; the whole suite is part of the CI ThreadSanitizer job,
+// which also covers the concurrent party loads of Load and Recover here.
 
 #include <algorithm>
 #include <map>
@@ -22,6 +23,7 @@
 
 #include "core/query_engine.h"
 #include "core/system.h"
+#include "storage/fault_fs.h"
 #include "util/random.h"
 
 namespace sae {
@@ -324,6 +326,57 @@ TEST(UpdateConcurrencyTest, MixedEngineBatchesReconcile) {
   EXPECT_GT(after.shipment_bytes, before.shipment_bytes);
   EXPECT_GT(after.auth_bytes, before.auth_bytes);
   EXPECT_EQ(system.epoch(), 1 + n_updates);
+}
+
+// Load and Recover build the parties on concurrent threads (SP and TE, or
+// the TOM owner and SP). Both run here over a durable directory, with a
+// cadence-checkpointed update tail in between; every recovered query must
+// verify and return exactly the pre-crash state.
+template <typename System>
+void LoadUpdateCrashRecover(typename System::Options options) {
+  storage::FaultFs fs;
+  options.record_size = kRecSize;
+  options.durability.enabled = true;
+  options.durability.dir = "/db";
+  options.durability.vfs = &fs;
+  options.durability.snapshot_interval = 8;
+  RecordCodec codec(kRecSize);
+  std::vector<Record> expected;
+  uint64_t epoch = 0;
+  {
+    System system(options);
+    ASSERT_TRUE(system.Load(InitialDataset(1000)).ok());
+    for (uint64_t i = 0; i < 30; ++i) {
+      ASSERT_TRUE(i % 3 == 2 ? system.Delete(RecordId(i + 1)).ok()
+                             : system.Insert(codec.MakeRecord(
+                                                 5000 + i, uint32_t(i * 37)))
+                                   .ok());
+    }
+    ASSERT_TRUE(system.WaitForCheckpoints().ok());
+    auto scan = system.ExecuteQuery(0, kKeyDomain);
+    ASSERT_TRUE(scan.ok());
+    ASSERT_TRUE(scan.value().verification.ok());
+    expected = scan.value().results;
+    epoch = system.epoch();
+  }
+  fs.DropVolatile();
+  auto recovered = System::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered.value()->epoch(), epoch);
+  auto scan = recovered.value()->ExecuteQuery(0, kKeyDomain);
+  ASSERT_TRUE(scan.ok());
+  EXPECT_TRUE(scan.value().verification.ok());
+  EXPECT_EQ(scan.value().results, expected);
+}
+
+TEST(UpdateConcurrencyTest, SaeConcurrentPartyLoadsRecoverExactly) {
+  LoadUpdateCrashRecover<SaeSystem>(SaeSystem::Options{});
+}
+
+TEST(UpdateConcurrencyTest, TomConcurrentPartyLoadsRecoverExactly) {
+  TomSystem::Options options;
+  options.rsa_modulus_bits = 512;  // fast for tests
+  LoadUpdateCrashRecover<TomSystem>(options);
 }
 
 }  // namespace
