@@ -81,9 +81,9 @@ void RunShardSweep(const std::vector<storage::Record>& dataset,
         core::ShardRouter::Balanced(dataset, shards), options);
     SAE_CHECK_OK(system.Load(dataset));
     core::QueryEngine engine(core::QueryEngineOptions{4});
-    auto warm = engine.RunBatch(&system, batch);
+    auto warm = engine.Run(&system, batch);
     SAE_CHECK(warm.stats.accepted == batch.size());
-    auto run = engine.RunBatch(&system, batch);
+    auto run = engine.Run(&system, batch);
     SAE_CHECK(run.stats.accepted == batch.size());
     std::printf("%8zu %10.0f %15.3f %15llu\n", system.num_shards(),
                 run.stats.QueriesPerSecond(),
@@ -116,9 +116,9 @@ void RunOperatorSweep(const char* model, System* system) {
       batch.push_back(core::BatchQuery{request});
     }
     core::QueryEngine engine(core::QueryEngineOptions{4});
-    auto warm = engine.RunBatch(system, batch);
+    auto warm = engine.Run(system, batch);
     SAE_CHECK(warm.stats.accepted == batch.size());
-    auto run = engine.RunBatch(system, batch);
+    auto run = engine.Run(system, batch);
     SAE_CHECK(run.stats.accepted == batch.size());
     std::printf("%6s %8s %10.0f %15.3f %15zu\n", model,
                 sae::dbms::QueryOpName(op), run.stats.QueriesPerSecond(),

@@ -33,11 +33,11 @@ const char* ModeName(AttackMode mode) {
     case AttackMode::kDuplicateOne:
       return "duplicate a record   (soundness)";
     case AttackMode::kReplayStaleRoot:
-      return "replay stale snapshot (freshness)";
+      return "claim a stale epoch  (freshness)";
     case AttackMode::kStaleVt:
-      return "stale token/signature (freshness)";
+      return "stale token/sig epoch (freshness)";
     case AttackMode::kStaleCacheReplay:
-      return "replay stale cache hit (freshness)";
+      return "stale cache hit epoch (freshness)";
     case AttackMode::kPoisonedCache:
       return "poison own answer cache (cache)";
     case AttackMode::kWrongCount:
@@ -71,8 +71,8 @@ int main() {
   core::TomSystem tom_system(tom_options);
   if (!tom_system.Load(records).ok()) return 1;
 
-  // One update each, so the freshness attacks have a genuinely stale
-  // snapshot to replay (the epoch advances to 2).
+  // One update each (the epoch advances to 2): the freshness attacks claim
+  // epoch 1, a state the client knows has been superseded.
   storage::RecordCodec codec(kRecSize);
   if (!sae_system.Insert(codec.MakeRecord(999999, 30000)).ok()) return 1;
   if (!tom_system.Insert(codec.MakeRecord(999999, 30000)).ok()) return 1;

@@ -6,8 +6,6 @@
 
 #include "btree/bplus_tree.h"
 
-#include <algorithm>
-
 #include "util/macros.h"
 
 namespace sae::btree {
@@ -39,29 +37,13 @@ Status BPlusTree::RangeSearch(Key lo, Key hi,
 }
 
 Result<bool> BPlusTree::Contains(Key key, Rid rid) const {
-  PageId page = core_.root();
-  for (;;) {
-    SAE_ASSIGN_OR_RETURN(Node node, core_.Load(page));
-    if (node.is_leaf) break;
-    size_t idx = std::lower_bound(node.keys.begin(), node.keys.end(), key) -
-                 node.keys.begin();
-    page = node.children[idx];
-  }
-  while (page != storage::kInvalidPageId) {
-    SAE_ASSIGN_OR_RETURN(Node leaf, core_.Load(page));
-    size_t pos = std::lower_bound(leaf.keys.begin(), leaf.keys.end(), key) -
-                 leaf.keys.begin();
-    for (; pos < leaf.keys.size(); ++pos) {
-      if (leaf.keys[pos] != key) return false;
-      if (leaf.rids[pos] == rid) return true;
-    }
-    page = leaf.next;  // run of duplicates may continue in the next leaf
-    if (page != storage::kInvalidPageId) {
-      SAE_ASSIGN_OR_RETURN(Node peek, core_.Load(page));
-      if (peek.keys.empty() || peek.keys.front() != key) return false;
-    }
-  }
-  return false;
+  // A run of duplicates of `key` may span leaves; the scan walks all of it.
+  bool found = false;
+  SAE_RETURN_NOT_OK(
+      core_.RangeScan(key, key, [&](const Node& leaf, size_t pos) {
+        found = found || leaf.rids[pos] == rid;
+      }));
+  return found;
 }
 
 Status BPlusTree::BulkLoad(const std::vector<BTreeEntry>& sorted,

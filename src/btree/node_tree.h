@@ -754,26 +754,25 @@ Status NodeTree<Layout>::RangeScan(Key lo, Key hi, const Emit& emit) const {
 
   // Descend to the leftmost leaf that may contain `lo`. Duplicate keys can
   // straddle a split boundary, so use lower_bound on separators.
-  PageId page = root_;
   size_t depth = 0;
   NodeRef node;
-  for (;;) {
-    SAE_RETURN_NOT_OK(Read(page, depth, &node));
-    if (node->is_leaf) break;
-    page = node->children[node_tree_internal::LowerBound(node->keys, lo)];
-    ++depth;
+  SAE_RETURN_NOT_OK(Read(root_, depth, &node));
+  while (!node->is_leaf) {
+    PageId child =
+        node->children[node_tree_internal::LowerBound(node->keys, lo)];
+    SAE_RETURN_NOT_OK(Read(child, ++depth, &node));
   }
 
-  while (page != storage::kInvalidPageId) {
-    SAE_RETURN_NOT_OK(Read(page, depth, &node));
+  // Walk the leaf chain from the leaf the descent fetched.
+  for (;;) {
     for (size_t pos = node_tree_internal::LowerBound(node->keys, lo);
          pos < node->keys.size(); ++pos) {
       if (node->keys[pos] > hi) return Status::OK();
       emit(*node, pos);
     }
-    page = node->next;
+    if (node->next == storage::kInvalidPageId) return Status::OK();
+    SAE_RETURN_NOT_OK(Read(node->next, depth, &node));
   }
-  return Status::OK();
 }
 
 template <class Layout>

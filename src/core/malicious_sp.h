@@ -20,11 +20,13 @@ using storage::Record;
 using storage::RecordCodec;
 
 /// What a compromised SP does to the honest result before returning it.
-/// The first group mutates the result records; the freshness group replays
-/// authentication state from an earlier epoch and leaves the record bytes
-/// alone — those attacks are staged by the system harnesses (the SP serves
-/// from a pre-update snapshot / an old token or signature is presented),
-/// not by ApplyAttack.
+/// The first group mutates the result records; the freshness group leaves
+/// the record bytes alone and claims an epoch one behind the published one
+/// over the live state (the answer's epoch, or the token's / signature's),
+/// which only the client's freshness gate can reject. The systems stage
+/// those claims, not ApplyAttack. A genuine old state (a never-updated
+/// twin's answers, cache entries and root signature) is replayed by the
+/// tests, not kept by the systems.
 enum class AttackMode {
   kNone = 0,        ///< honest behaviour
   kDropOne,         ///< completeness attack: remove one record
@@ -33,19 +35,20 @@ enum class AttackMode {
   kTamperPayload,   ///< soundness attack: flip bytes in a record's payload
   kTamperKey,       ///< soundness attack: change a record's search key
   kDuplicateOne,    ///< soundness attack: return a record twice
-  kReplayStaleRoot, ///< freshness attack: SP answers from a pre-update
-                    ///< snapshot (stale results + matching stale auth state)
-  kStaleVt,         ///< freshness attack: token/signature from an old epoch
-                    ///< presented against the current result
+  kReplayStaleRoot, ///< freshness attack: SP stamps its answer with an
+                    ///< epoch behind the published one (a replayed root)
+  kStaleVt,         ///< freshness attack: the token (SAE) or the VO's
+                    ///< signed epoch (TOM) claims an epoch behind the
+                    ///< published one, against the current result
   kWrongCount,      ///< aggregate attack: the claimed COUNT is off by one
                     ///< while every witness record ships honestly
   kWrongSum,        ///< aggregate attack: the claimed SUM is perturbed
                     ///< while every witness record ships honestly
   kTruncatedTopK,   ///< aggregate attack: the top-k answer silently loses
                     ///< its last winner (witness untouched)
-  kStaleCacheReplay,///< freshness attack: SP replays an answer-cache entry
-                    ///< keyed to a pre-update epoch (cached stale bytes +
-                    ///< matching stale auth state)
+  kStaleCacheReplay,///< freshness attack: SP serves its answer out of an
+                    ///< answer-cache entry and stamps it with an epoch
+                    ///< behind the published one
   kPoisonedCache,   ///< cache attack: SP rewrites its own answer cache and
                     ///< serves the poisoned bytes (staged by the systems via
                     ///< ExecutePoisonedPlan, not by ApplyAttack)
@@ -59,11 +62,11 @@ inline bool IsFreshnessAttack(AttackMode mode) {
 }
 
 /// True for the modes staged inside the SP's answer cache. kStaleCacheReplay
-/// is also a freshness attack (a cached entry from an old epoch is just a
-/// stale snapshot that happens to live in the cache); kPoisonedCache leaves
-/// durable damage — the poison persists for later honest queries until an
-/// epoch bump flushes it — so the parity harness excludes it from its
-/// random attack pool and the security suite covers it directly.
+/// is also a freshness attack (a cached entry replayed for an old epoch is
+/// just a stale answer that happens to live in the cache); kPoisonedCache
+/// leaves durable damage — the poison persists for later honest queries
+/// until an epoch bump flushes it — so the parity harness excludes it from
+/// its random attack pool and the security suite covers it directly.
 inline bool IsCacheAttack(AttackMode mode) {
   return mode == AttackMode::kStaleCacheReplay ||
          mode == AttackMode::kPoisonedCache;
@@ -87,8 +90,7 @@ inline bool IsRecordAttack(AttackMode mode) {
 /// victim pick one pseudo-randomly from `seed`; attacks on an empty result
 /// degrade to kInjectFake so that "malicious" never silently means "honest".
 /// Freshness modes return the result unchanged (see AttackMode); the
-/// systems guarantee their detection by rewinding the *claimed epoch* even
-/// when no pre-update snapshot exists yet.
+/// systems guarantee their detection by rewinding the *claimed epoch*.
 std::vector<Record> ApplyAttack(const std::vector<Record>& honest,
                                 AttackMode mode, const RecordCodec& codec,
                                 uint64_t seed);

@@ -122,8 +122,7 @@ struct MixedStats {
 
 struct QueryEngineOptions {
   /// Worker threads owned by the engine. 0 = run batches inline on the
-  /// calling thread (no threads are spawned) — what the single-query
-  /// SaeSystem::Query / TomSystem::Query wrappers use.
+  /// calling thread (no threads are spawned).
   size_t worker_threads = 0;
 };
 
@@ -144,9 +143,9 @@ class QueryEngine {
   QueryEngine& operator=(const QueryEngine&) = delete;
 
   /// Batch result over any system type exposing
-  /// ExecuteQuery(lo, hi, attack) -> Result<QueryOutcome> with the
-  /// QueryOutcome carrying `verification` and `costs` members — the
-  /// unsharded SaeSystem/TomSystem and their sharded counterparts alike.
+  /// ExecuteQuery(request, attack) -> Result<QueryOutcome> with the
+  /// QueryOutcome carrying `verification` and `costs` members — SaeSystem,
+  /// TomSystem and their sharded counterparts alike.
   template <typename System>
   struct Batch {
     /// One outcome per input query, in input order.
@@ -156,14 +155,9 @@ class QueryEngine {
   using SaeBatch = Batch<SaeSystem>;
   using TomBatch = Batch<TomSystem>;
 
-  /// Runs the batch to completion against the shared system. The generic
-  /// template serves any conforming system (the sharded systems route
-  /// their batches through it); the named overloads keep call sites terse.
+  /// Runs the batch to completion against the shared system.
   template <typename System>
-  Batch<System> RunBatch(System* system,
-                         const std::vector<BatchQuery>& queries);
-  SaeBatch Run(SaeSystem* system, const std::vector<BatchQuery>& queries);
-  TomBatch Run(TomSystem* system, const std::vector<BatchQuery>& queries);
+  Batch<System> Run(System* system, const std::vector<BatchQuery>& queries);
 
   /// Bare fan-out primitive: executes task(0) .. task(count - 1) across the
   /// worker pool (inline when the engine owns no workers) and returns when
@@ -178,12 +172,10 @@ class QueryEngine {
   /// Runs a mixed read/write batch: workers claim ops in order, queries
   /// take the system's reader lock and updates its writer lock, so the
   /// schedule interleaves genuinely. Returns aggregate stats (q/s and
-  /// per-update latency — what bench_ablation_updates reports). Generic
-  /// for the same reason as RunBatch: sharded systems qualify.
+  /// per-update latency — what bench_ablation_updates reports). Serves the
+  /// same systems as Run.
   template <typename System>
-  MixedStats RunMixedBatch(System* system, const std::vector<BatchOp>& ops);
-  MixedStats RunMixed(SaeSystem* system, const std::vector<BatchOp>& ops);
-  MixedStats RunMixed(TomSystem* system, const std::vector<BatchOp>& ops);
+  MixedStats RunMixed(System* system, const std::vector<BatchOp>& ops);
 
   size_t worker_threads() const { return workers_.size(); }
 
@@ -211,7 +203,7 @@ class QueryEngine {
 // --- template definitions ---------------------------------------------------
 
 template <typename System>
-QueryEngine::Batch<System> QueryEngine::RunBatch(
+QueryEngine::Batch<System> QueryEngine::Run(
     System* system, const std::vector<BatchQuery>& queries) {
   using Outcome = typename System::QueryOutcome;
   Batch<System> batch;
@@ -249,8 +241,8 @@ QueryEngine::Batch<System> QueryEngine::RunBatch(
 }
 
 template <typename System>
-MixedStats QueryEngine::RunMixedBatch(System* system,
-                                      const std::vector<BatchOp>& ops) {
+MixedStats QueryEngine::RunMixed(System* system,
+                                 const std::vector<BatchOp>& ops) {
   MixedStats stats;
 
   // Per-op slots filled by disjoint workers, reduced after the barrier.

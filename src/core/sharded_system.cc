@@ -8,7 +8,6 @@
 #include "core/sharded_system.h"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -34,19 +33,6 @@ typename Base::Options ShardOptions(
     base.durability.dir = ShardDurabilityDir(base.durability.dir, s);
   }
   return base;
-}
-
-/// The recovered dataset of one shard, for rebuilding the id -> key
-/// routing directory.
-std::vector<Record> RecoveredRecords(SaeSystem* shard) {
-  return shard->owner().SortedDataset();
-}
-Result<std::vector<Record>> RecoveredRecords(TomSystem* shard) {
-  SAE_ASSIGN_OR_RETURN(TomServiceProvider::QueryResponse response,
-                       shard->sp().ExecuteRange(
-                           std::numeric_limits<Key>::min(),
-                           std::numeric_limits<Key>::max()));
-  return std::move(response.results);
 }
 
 }  // namespace
@@ -76,8 +62,7 @@ Result<std::unique_ptr<ShardedSystem<Base>>> ShardedSystem<Base>::Recover(
     SAE_ASSIGN_OR_RETURN(system->shards_[s],
                          Base::Recover(ShardOptions<Base>(options, s)));
     SAE_ASSIGN_OR_RETURN(std::vector<Record> records,
-                         Result<std::vector<Record>>(
-                             RecoveredRecords(system->shards_[s].get())));
+                         system->shards_[s]->CaptureRecords());
     for (const Record& record : records) {
       if (!system->directory_.emplace(record.id, record.key).second) {
         return Status::Corruption(

@@ -1,18 +1,15 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
-// Implements the end-to-end SaeSystem and TomSystem harnesses
-// (core/system.h): the shared-mutex reader-writer discipline, the
-// epoch-versioned update pipeline, and the freshness adversaries
-// (kReplayStaleRoot / kStaleVt) that answer from pre-update snapshots.
+// Implements the two outsourcing models behind System<Model>
+// (core/system.h): each model's UpdatePolicy and its body of one query
+// run, the SP's attacks included.
 
 #include "core/system.h"
 
-#include <algorithm>
 #include <future>
 #include <limits>
 
 #include "core/messages.h"
-#include "core/query_engine.h"
 #include "sim/cost_model.h"
 #include "util/macros.h"
 
@@ -23,20 +20,19 @@ namespace {
 constexpr Key kMinKey = std::numeric_limits<Key>::min();
 constexpr Key kMaxKey = std::numeric_limits<Key>::max();
 
-// The epoch a freshness adversary claims: the snapshot's epoch when one
-// exists, and in any case strictly behind the published epoch — a replay
-// staged before any update occurred still announces itself as stale, so
-// "malicious" never silently means "honest".
-uint64_t StaleClaim(bool captured, uint64_t stale_epoch, uint64_t published) {
-  uint64_t behind = published > 0 ? published - 1 : 0;
-  return captured ? std::min(stale_epoch, behind) : behind;
+// The epoch a freshness adversary claims: one behind the published epoch,
+// over the live state. Only the freshness gate can tell it from an honest
+// answer, so the modes pin that gate; genuine old-state replays, served
+// by a never-updated twin system, are tested in tests/security_test.cc.
+uint64_t StaleClaim(uint64_t published) {
+  return published > 0 ? published - 1 : 0;
 }
 
 }  // namespace
 
-// --- SaeSystem ---------------------------------------------------------------
+// --- SaeModel ----------------------------------------------------------------
 
-SaeSystem::SaeSystem(const Options& options)
+SaeModel::SaeModel(const Options& options)
     : options_(options),
       owner_(options.record_size),
       sp_(ServiceProvider::Options{options.record_size,
@@ -46,82 +42,38 @@ SaeSystem::SaeSystem(const Options& options)
       te_(TrustedEntity::Options{options.record_size, options.scheme,
                                  options.te_pool_pages, options.xb_options,
                                  options.te_vt_cache}),
-      client_memo_(options.client_memo),
-      pipeline_(this, SnapshotState::kSae, uint32_t(options.record_size),
-                options.scheme, options.durability) {}
+      client_memo_(options.client_memo) {}
 
-Result<std::unique_ptr<SaeSystem>> SaeSystem::Recover(const Options& options) {
-  auto system = std::make_unique<SaeSystem>(options);
-  SAE_RETURN_NOT_OK(system->pipeline_.Recover());
-  return system;
-}
-
-Result<std::vector<Record>> SaeSystem::Outsource(std::vector<Record> sorted) {
+Result<std::vector<Record>> SaeModel::Outsource(std::vector<Record> sorted) {
   SAE_RETURN_NOT_OK(owner_.Outsource(sorted, &sp_, &te_, &do_sp_, &do_te_));
   return sorted;  // the master copy holds exactly these records
 }
 
-Status SaeSystem::Restore(std::vector<Record> sorted, uint64_t epoch) {
+Status SaeModel::Restore(std::vector<Record> sorted, uint64_t epoch) {
   SAE_RETURN_NOT_OK(owner_.Outsource(sorted, &sp_, &te_, &do_sp_, &do_te_));
   owner_.RestoreEpoch(epoch, &sp_, &te_);
   return Status::OK();
 }
 
-Result<size_t> SaeSystem::ApplyInsert(const Record& record, bool) {
+Result<size_t> SaeModel::ApplyInsert(const Record& record, bool) {
   SAE_RETURN_NOT_OK(owner_.InsertRecord(record, &sp_, &te_, &do_sp_, &do_te_));
   return 2 * SerializeEpochNotice(0).size();
 }
 
-Result<size_t> SaeSystem::ApplyDelete(RecordId id, bool) {
+Result<size_t> SaeModel::ApplyDelete(RecordId id, bool) {
   SAE_RETURN_NOT_OK(owner_.DeleteRecord(id, &sp_, &te_, &do_sp_, &do_te_));
   return 2 * SerializeEpochNotice(0).size();
 }
 
-Result<crypto::Digest> SaeSystem::DigestXor() const {
+Result<crypto::Digest> SaeModel::DigestXor() const {
   return te_.xb_tree().GenerateVT(kMinKey, kMaxKey);
 }
 
-Result<SaeSystem::QueryOutcome> SaeSystem::Query(
-    const dbms::QueryRequest& request, AttackMode attack) {
-  QueryEngine engine;  // no workers: the batch of one runs on this thread
-  QueryEngine::SaeBatch batch =
-      engine.Run(this, {BatchQuery{request, attack}});
-  return std::move(batch.outcomes[0]);
-}
-
-void SaeSystem::BeforeFirstUpdate() {
-  // Freeze the pre-update database once, right before the first update
-  // ever applied: the replay adversary will answer from this state.
-  auto snapshot = sp_.ExecuteRange(kMinKey, kMaxKey);
-  if (!snapshot.ok()) return;  // leave uncaptured; replay degrades cleanly
-  stale_records_ = std::move(snapshot.value());
-  stale_epoch_ = owner_.epoch();
-  stale_captured_ = true;
-}
-
-const ServiceProvider* SaeSystem::StaleSp() {
-  if (!stale_captured_) return nullptr;
-  std::call_once(stale_build_once_, [this] {
-    auto sp = std::make_unique<ServiceProvider>(ServiceProvider::Options{
-        options_.record_size, options_.sp_index_pool_pages,
-        options_.sp_heap_pool_pages, options_.sp_answer_cache});
-    if (sp->LoadDataset(stale_records_).ok()) {
-      sp->SetEpoch(stale_epoch_);
-      stale_sp_ = std::move(sp);
-    }
-    stale_records_.clear();
-    stale_records_.shrink_to_fit();
-  });
-  return stale_sp_.get();
-}
-
-Result<SaeSystem::QueryOutcome> SaeSystem::ExecuteQuery(
-    const dbms::QueryRequest& request, AttackMode attack) {
-  // Shared (reader) lock for the whole query: the epoch observed by the
-  // SP answer, the TE token, and the client check is one frozen snapshot.
-  auto lock = pipeline_.ReadLock();
+Result<SaeModel::QueryOutcome> SaeModel::RunQuery(
+    const dbms::QueryRequest& request, AttackMode attack, uint64_t seed) {
+  // The caller holds the reader lock: the epoch observed by the SP answer,
+  // the TE token, and the client check is one frozen snapshot.
   uint64_t published = owner_.epoch();
-  uint64_t seed = attack_seed_.fetch_add(1, std::memory_order_relaxed);
 
   QueryOutcome outcome;
   outcome.request = request;
@@ -132,22 +84,20 @@ Result<SaeSystem::QueryOutcome> SaeSystem::ExecuteQuery(
   storage::BufferPool::Stats te0 = te_.pool_thread_stats();
 
   // Client -> SP: execute the plan; the SP may be compromised. A replaying
-  // SP serves from the pre-update snapshot and (honestly) stamps the
-  // snapshot's epoch — the freshness check, not the XOR, catches it.
+  // SP claims an epoch behind the published one — the freshness check, not
+  // the XOR, catches it.
   ServiceProvider::PlanResult plan;
   uint64_t claimed_epoch = sp_.epoch();
   if (attack == AttackMode::kReplayStaleRoot ||
       attack == AttackMode::kStaleCacheReplay) {
-    const ServiceProvider* stale = StaleSp();
-    claimed_epoch = StaleClaim(stale != nullptr, stale_epoch_, published);
-    const ServiceProvider& source = stale != nullptr ? *stale : sp_;
-    if (attack == AttackMode::kStaleCacheReplay) {
-      // Warm the stale SP's answer cache, then serve from it: the replayed
-      // bytes literally come out of a cache entry keyed to the old epoch.
-      SAE_RETURN_NOT_OK(source.ExecutePlan(request).status());
-    }
-    SAE_ASSIGN_OR_RETURN(plan, source.ExecutePlan(request));
-  } else if (attack == AttackMode::kPoisonedCache) {
+    claimed_epoch = StaleClaim(published);
+  }
+  if (attack == AttackMode::kStaleCacheReplay) {
+    // Warm the answer cache, then serve from it: the replayed bytes
+    // literally come out of a cache entry.
+    SAE_RETURN_NOT_OK(sp_.ExecutePlan(request).status());
+  }
+  if (attack == AttackMode::kPoisonedCache) {
     // The SP poisons its own cache: tampered bytes ship now and persist
     // for later honest queries until an epoch bump flushes the cache.
     SAE_ASSIGN_OR_RETURN(plan, sp_.ExecutePoisonedPlan(request, seed));
@@ -174,11 +124,9 @@ Result<SaeSystem::QueryOutcome> SaeSystem::ExecuteQuery(
       (sp_.heap_pool_thread_stats() - sp_heap0).accesses;
 
   // Client -> TE: verification token (the TE itself is always honest; a
-  // kStaleVt adversary replays a token captured before the last update).
+  // kStaleVt adversary presents it stamped one epoch back).
   SAE_ASSIGN_OR_RETURN(VerificationToken vt, te_.GenerateVt(request));
-  if (attack == AttackMode::kStaleVt) {
-    vt.epoch = vt.epoch > 0 ? vt.epoch - 1 : 0;
-  }
+  if (attack == AttackMode::kStaleVt) vt.epoch = StaleClaim(vt.epoch);
   std::vector<uint8_t> vt_msg = SerializeVt(vt);
   sim::Channel::Session te_session = te_client_.OpenSession();
   te_session.Send(vt_msg);
@@ -201,9 +149,9 @@ Result<SaeSystem::QueryOutcome> SaeSystem::ExecuteQuery(
   return outcome;
 }
 
-// --- TomSystem ---------------------------------------------------------------
+// --- TomModel ----------------------------------------------------------------
 
-TomSystem::TomSystem(const Options& options)
+TomModel::TomModel(const Options& options)
     : options_(options),
       codec_(options.record_size),
       owner_(TomDataOwner::Options{options.record_size, options.scheme,
@@ -215,17 +163,9 @@ TomSystem::TomSystem(const Options& options)
                                       options.sp_heap_pool_pages,
                                       options.mb_options,
                                       options.sp_answer_cache}),
-      client_memo_(options.client_memo),
-      pipeline_(this, SnapshotState::kTom, uint32_t(options.record_size),
-                options.scheme, options.durability) {}
+      client_memo_(options.client_memo) {}
 
-Result<std::unique_ptr<TomSystem>> TomSystem::Recover(const Options& options) {
-  auto system = std::make_unique<TomSystem>(options);
-  SAE_RETURN_NOT_OK(system->pipeline_.Recover());
-  return system;
-}
-
-Status TomSystem::LoadParties(const std::vector<Record>& sorted,
+Status TomModel::LoadParties(const std::vector<Record>& sorted,
                               uint64_t epoch) {
   // The owner and the SP each build their own ADS from the records and
   // share no state, so they load concurrently. Both stay unsigned until
@@ -238,7 +178,7 @@ Status TomSystem::LoadParties(const std::vector<Record>& sorted,
   return owner_loaded;
 }
 
-Result<std::vector<Record>> TomSystem::Outsource(std::vector<Record> sorted) {
+Result<std::vector<Record>> TomModel::Outsource(std::vector<Record> sorted) {
   SAE_RETURN_NOT_OK(LoadParties(sorted, 1));  // outsourcing is epoch 1
   AuthenticateRecovered();  // signs epoch 1 and installs it at the SP
   do_sp_.SendBytes(RecordsMessageSize(sorted.size(), codec_));
@@ -249,17 +189,17 @@ Result<std::vector<Record>> TomSystem::Outsource(std::vector<Record> sorted) {
   return sorted;
 }
 
-Status TomSystem::Restore(std::vector<Record> sorted, uint64_t epoch) {
+Status TomModel::Restore(std::vector<Record> sorted, uint64_t epoch) {
   // Local disk, unsigned: AuthenticateRecovered signs after the WAL tail.
   return LoadParties(sorted, epoch);
 }
 
-void TomSystem::AuthenticateRecovered() {
+void TomModel::AuthenticateRecovered() {
   owner_.Sign();
   sp_.SetSignature(owner_.signature(), owner_.epoch());
 }
 
-size_t TomSystem::ShipWithSignature(const std::vector<uint8_t>& message) {
+size_t TomModel::ShipWithSignature(const std::vector<uint8_t>& message) {
   std::vector<uint8_t> sig_msg =
       SerializeSignature(owner_.signature(), owner_.epoch());
   do_sp_.Send(message);
@@ -267,7 +207,7 @@ size_t TomSystem::ShipWithSignature(const std::vector<uint8_t>& message) {
   return sig_msg.size();
 }
 
-Result<size_t> TomSystem::ApplyInsert(const Record& record, bool replay) {
+Result<size_t> TomModel::ApplyInsert(const Record& record, bool replay) {
   SAE_RETURN_NOT_OK(owner_.InsertRecord(record, /*sign=*/!replay));
   size_t auth_bytes =
       replay ? 0 : ShipWithSignature(SerializeRecords({record}, codec_));
@@ -276,7 +216,7 @@ Result<size_t> TomSystem::ApplyInsert(const Record& record, bool replay) {
   return auth_bytes;
 }
 
-Result<size_t> TomSystem::ApplyDelete(RecordId id, bool replay) {
+Result<size_t> TomModel::ApplyDelete(RecordId id, bool replay) {
   SAE_RETURN_NOT_OK(owner_.DeleteRecord(id, /*sign=*/!replay));
   size_t auth_bytes =
       replay ? 0 : ShipWithSignature(SerializeDelete(id, 0));
@@ -284,53 +224,13 @@ Result<size_t> TomSystem::ApplyDelete(RecordId id, bool replay) {
   return auth_bytes;
 }
 
-Result<std::vector<Record>> TomSystem::CaptureRecords() const {
-  SAE_ASSIGN_OR_RETURN(TomServiceProvider::QueryResponse range,
-                       sp_.ExecuteRange(kMinKey, kMaxKey));
-  return std::move(range.results);
+Result<std::vector<Record>> TomModel::CaptureRecords() const {
+  return sp_.ReadRange(kMinKey, kMaxKey);
 }
 
-Result<TomSystem::QueryOutcome> TomSystem::Query(
-    const dbms::QueryRequest& request, AttackMode attack) {
-  QueryEngine engine;  // no workers: the batch of one runs on this thread
-  QueryEngine::TomBatch batch =
-      engine.Run(this, {BatchQuery{request, attack}});
-  return std::move(batch.outcomes[0]);
-}
-
-void TomSystem::BeforeFirstUpdate() {
-  auto snapshot = sp_.ExecuteRange(kMinKey, kMaxKey);
-  if (!snapshot.ok()) return;
-  stale_records_ = std::move(snapshot.value().results);
-  stale_signature_ = owner_.signature();  // pre-update: not yet re-signed
-  stale_epoch_ = owner_.epoch();
-  stale_captured_ = true;
-}
-
-const TomServiceProvider* TomSystem::StaleSp() {
-  if (!stale_captured_) return nullptr;
-  std::call_once(stale_build_once_, [this] {
-    auto sp = std::make_unique<TomServiceProvider>(
-        TomServiceProvider::Options{options_.record_size, options_.scheme,
-                                    options_.sp_index_pool_pages,
-                                    options_.sp_heap_pool_pages,
-                                    options_.mb_options,
-                                    options_.sp_answer_cache});
-    if (sp->LoadDataset(stale_records_, stale_signature_, stale_epoch_)
-            .ok()) {
-      stale_sp_ = std::move(sp);
-    }
-    stale_records_.clear();
-    stale_records_.shrink_to_fit();
-  });
-  return stale_sp_.get();
-}
-
-Result<TomSystem::QueryOutcome> TomSystem::ExecuteQuery(
-    const dbms::QueryRequest& request, AttackMode attack) {
-  auto lock = pipeline_.ReadLock();
+Result<TomModel::QueryOutcome> TomModel::RunQuery(
+    const dbms::QueryRequest& request, AttackMode attack, uint64_t seed) {
   uint64_t published = owner_.epoch();
-  uint64_t seed = attack_seed_.fetch_add(1, std::memory_order_relaxed);
 
   QueryOutcome outcome;
   outcome.request = request;
@@ -338,34 +238,23 @@ Result<TomSystem::QueryOutcome> TomSystem::ExecuteQuery(
   storage::BufferPool::Stats sp_heap0 = sp_.heap_pool_thread_stats();
 
   TomServiceProvider::PlanResponse response;
-  if (attack == AttackMode::kReplayStaleRoot ||
-      attack == AttackMode::kStaleCacheReplay) {
-    // Full replay: stale results + stale VO + the stale epoch-stamped
-    // signature — internally consistent, cryptographically valid for its
-    // own epoch. Only the freshness gate can reject it. The cache-replay
-    // variant serves the second of two identical calls, so the replayed
-    // bytes come straight out of a cache entry keyed to the old epoch.
-    const TomServiceProvider* stale = StaleSp();
-    const TomServiceProvider& source = stale != nullptr ? *stale : sp_;
-    if (attack == AttackMode::kStaleCacheReplay) {
-      SAE_RETURN_NOT_OK(source.ExecutePlan(request).status());
-    }
-    SAE_ASSIGN_OR_RETURN(response, source.ExecutePlan(request));
-    response.vo.epoch = StaleClaim(stale != nullptr, stale_epoch_, published);
-  } else if (attack == AttackMode::kPoisonedCache) {
+  if (attack == AttackMode::kStaleCacheReplay) {
+    // The cache-replay variant serves the second of two identical calls,
+    // so the replayed bytes come straight out of a cache entry.
+    SAE_RETURN_NOT_OK(sp_.ExecutePlan(request).status());
+  }
+  if (attack == AttackMode::kPoisonedCache) {
     // The SP poisons its own cache: tampered witness bytes ship with the
     // honest VO (the VO disproves them) and persist in the cache for later
     // honest queries until a signature install flushes it.
     SAE_ASSIGN_OR_RETURN(response, sp_.ExecutePoisonedPlan(request, seed));
-  } else if (attack == AttackMode::kStaleVt) {
-    // Stale authentication against the current result: the SP presents an
-    // old epoch's signature (TOM's analog of a replayed TE token).
-    SAE_ASSIGN_OR_RETURN(response, sp_.ExecutePlan(request));
-    response.vo.epoch = StaleClaim(stale_captured_, stale_epoch_, published);
-    if (stale_captured_) response.vo.signature = stale_signature_;
   } else {
     SAE_ASSIGN_OR_RETURN(response, sp_.ExecutePlan(request));
   }
+  // Freshness attacks (a replayed answer, or an old epoch's signature
+  // presented against the current result) claim an epoch behind the
+  // published one: only the VO's epoch gate can reject them.
+  if (IsFreshnessAttack(attack)) response.vo.epoch = StaleClaim(published);
   // Record attacks tamper the witness (and the answer re-derives from the
   // tampered set — a consistent lie the VO catches); answer attacks leave
   // the witness honest and falsify only the derived answer.

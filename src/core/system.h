@@ -8,20 +8,22 @@
 // epoch-versioned updates — concurrently, from any number of threads —
 // optionally under an attacking SP, and read back per-party costs.
 //
-// Updates, durability and recovery run through the shared UpdatePipeline
-// (core/update_pipeline.h); each system supplies only its UpdatePolicy —
-// how an update reaches its parties and refreshes authentication (SAE: an
-// epoch notice to SP and TE; TOM: a re-signed MB-tree root). ExecuteQuery
-// holds the pipeline's lock shared for the whole query (SP execution, TE
-// token / VO, client verification), so a query observes one frozen epoch
-// end to end; queries and updates interleave freely on the same system.
+// One front, System<Model>, serves both models (SaeSystem, TomSystem). It
+// owns the shared UpdatePipeline (core/update_pipeline.h), and with it the
+// reader-writer lock, and defines every public operation once. A model
+// supplies only what differs: its parties, channels and client memo; its
+// UpdatePolicy — how an update reaches its parties and refreshes
+// authentication (SAE: an epoch notice to SP and TE; TOM: a re-signed
+// MB-tree root); and the body of one query run. ExecuteQuery holds the
+// pipeline's lock shared for the whole query (SP execution, TE token / VO,
+// client verification), so a query observes one frozen epoch end to end;
+// queries and updates interleave freely on the same system.
 
 #ifndef SAE_CORE_SYSTEM_H_
 #define SAE_CORE_SYSTEM_H_
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/client.h"
@@ -59,6 +61,114 @@ inline QueryCosts& operator+=(QueryCosts& a, const QueryCosts& b) {
   a.client_verify_ms += b.client_verify_ms;
   return a;
 }
+
+/// The one end-to-end front over an outsourcing model (SaeModel,
+/// TomModel). The model is the base, so its accessors (sp(), owner(), ...)
+/// and cache_stats() are the system's own; the pipeline is a member, and
+/// members are destroyed before bases, so the checkpoint thread is joined
+/// before the parties it snapshots go away.
+template <class Model>
+class System : public Model {
+ public:
+  using Options = typename Model::Options;
+  using QueryOutcome = typename Model::QueryOutcome;
+
+  explicit System(const Options& options = {})
+      : Model(options),
+        pipeline_(this, Model::kSnapshotModel, uint32_t(options.record_size),
+                  options.scheme, options.durability) {}
+
+  /// Installs and outsources the dataset to the parties, publishing epoch
+  /// 1. With durability enabled, also opens the WAL and writes the epoch-1
+  /// baseline snapshot before returning.
+  Status Load(const std::vector<Record>& records) {
+    return pipeline_.Load(records);
+  }
+
+  /// Rebuilds a system from its durability directory after a crash (see
+  /// UpdatePipeline::Recover). kNotFound when no valid snapshot exists (the
+  /// crash predates the first durable checkpoint); kCorruption when the
+  /// disk contradicts itself or `options`. Under TOM the owner signs the
+  /// recovered root once, at the recovered epoch, after the WAL tail.
+  static Result<std::unique_ptr<System>> Recover(const Options& options) {
+    auto system = std::make_unique<System>(options);
+    Status recovered = system->pipeline_.Recover();
+    if (!recovered.ok()) return recovered;
+    return system;
+  }
+
+  /// The thread-safe single-query operation: runs SP execution, the TE
+  /// token (SAE) or VO (TOM), and client verification entirely on the
+  /// calling thread under a shared (reader) lock, attributing costs via
+  /// per-thread pool counters and per-query channel sessions. Any number of
+  /// threads may call this concurrently, and Insert/Delete may interleave
+  /// with it — writers simply serialize against in-flight queries through
+  /// the lock. For multi-query load, hand a batch to a core::QueryEngine.
+  Result<QueryOutcome> ExecuteQuery(const dbms::QueryRequest& request,
+                                    AttackMode attack = AttackMode::kNone) {
+    auto lock = pipeline_.ReadLock();
+    return this->RunQuery(request, attack,
+                          attack_seed_.fetch_add(1, std::memory_order_relaxed));
+  }
+  /// Range-scan compatibility wrapper.
+  Result<QueryOutcome> ExecuteQuery(Key lo, Key hi,
+                                    AttackMode attack = AttackMode::kNone) {
+    return ExecuteQuery(dbms::QueryRequest::Scan(lo, hi), attack);
+  }
+  /// The client issues the plan and verifies the answer (= ExecuteQuery).
+  Result<QueryOutcome> Query(const dbms::QueryRequest& request,
+                             AttackMode attack = AttackMode::kNone) {
+    return ExecuteQuery(request, attack);
+  }
+  Result<QueryOutcome> Query(Key lo, Key hi,
+                             AttackMode attack = AttackMode::kNone) {
+    return ExecuteQuery(dbms::QueryRequest::Scan(lo, hi), attack);
+  }
+
+  /// DO-side updates, propagated to the parties under the writer (unique)
+  /// lock with a fresh epoch. Safe to call concurrently with queries and
+  /// other updates. The Versioned variants return the epoch the update
+  /// published — the serialization point of the update, which the
+  /// interleaved stress suite replays against a serial oracle.
+  Result<uint64_t> InsertVersioned(const Record& record) {
+    return pipeline_.Insert(record);
+  }
+  Result<uint64_t> DeleteVersioned(RecordId id) {
+    return pipeline_.Delete(id);
+  }
+  Status Insert(const Record& record) {
+    return InsertVersioned(record).status();
+  }
+  Status Delete(RecordId id) { return DeleteVersioned(id).status(); }
+
+  /// Latest published epoch (the client's freshness reference).
+  uint64_t epoch() const { return pipeline_.epoch(); }
+
+  /// Accumulated update-pipeline costs (snapshot by value).
+  UpdateStats update_stats() const { return pipeline_.stats(); }
+
+  /// Attached durability manager; nullptr when durability is off.
+  DurabilityManager* durability() { return pipeline_.durability(); }
+
+  /// Durability counters (zeroed struct when durability is off).
+  DurabilityStats durability_stats() const {
+    return pipeline_.durability_stats();
+  }
+
+  /// Phase timings of the Recover() that built this system.
+  const RecoveryStats& recovery_stats() const {
+    return pipeline_.recovery_stats();
+  }
+
+  /// Blocks until every captured checkpoint is durable; returns the first
+  /// checkpoint failure since the last wait. Call without holding a query
+  /// open on this thread.
+  Status WaitForCheckpoints() { return pipeline_.WaitForCheckpoints(); }
+
+ private:
+  std::atomic<uint64_t> attack_seed_{0xBADC0DE};
+  UpdatePipeline pipeline_;
+};
 
 struct SaeSystemOptions {
   size_t record_size = storage::kDefaultRecordSize;
@@ -99,24 +209,10 @@ struct SaeCacheStats {
 };
 
 /// SAE: DO + conventional SP + TE + verifying client.
-class SaeSystem : private UpdatePolicy {
+class SaeModel : protected UpdatePolicy {
  public:
   using Options = SaeSystemOptions;
-
-  explicit SaeSystem(const Options& options = {});
-
-  /// Installs and outsources the dataset (DO -> SP, DO -> TE), publishing
-  /// epoch 1. With durability enabled, also opens the WAL and writes the
-  /// epoch-1 baseline snapshot before returning.
-  Status Load(const std::vector<Record>& records) {
-    return pipeline_.Load(records);
-  }
-
-  /// Rebuilds a system from its durability directory after a crash (see
-  /// UpdatePipeline::Recover). kNotFound when no valid snapshot exists (the
-  /// crash predates the first durable checkpoint); kCorruption when the
-  /// disk contradicts itself or `options`.
-  static Result<std::unique_ptr<SaeSystem>> Recover(const Options& options);
+  static constexpr SnapshotState::Model kSnapshotModel = SnapshotState::kSae;
 
   struct QueryOutcome {
     dbms::QueryRequest request;   ///< the executed plan
@@ -129,54 +225,6 @@ class SaeSystem : private UpdatePolicy {
     Status verification;          ///< OK iff the client accepted the result
     QueryCosts costs;
   };
-
-  /// Client issues the plan to SP and TE simultaneously and verifies.
-  /// Routed through a batch-of-one QueryEngine; for multi-query load build
-  /// a core::QueryEngine with worker threads and pass it a batch.
-  Result<QueryOutcome> Query(const dbms::QueryRequest& request,
-                             AttackMode attack = AttackMode::kNone);
-  /// Range-scan compatibility wrapper.
-  Result<QueryOutcome> Query(Key lo, Key hi,
-                             AttackMode attack = AttackMode::kNone) {
-    return Query(dbms::QueryRequest::Scan(lo, hi), attack);
-  }
-
-  /// The thread-safe single-query operation QueryEngine workers invoke:
-  /// runs SP execution, TE token generation, and client verification
-  /// entirely on the calling thread under a shared (reader) lock,
-  /// attributing costs via per-thread pool counters and per-query channel
-  /// sessions. Any number of threads may call this concurrently, and
-  /// Insert/Delete may interleave with it — writers simply serialize
-  /// against in-flight queries through the lock.
-  Result<QueryOutcome> ExecuteQuery(const dbms::QueryRequest& request,
-                                    AttackMode attack = AttackMode::kNone);
-  /// Range-scan compatibility wrapper.
-  Result<QueryOutcome> ExecuteQuery(Key lo, Key hi,
-                                    AttackMode attack = AttackMode::kNone) {
-    return ExecuteQuery(dbms::QueryRequest::Scan(lo, hi), attack);
-  }
-
-  /// DO-side updates, propagated to SP and TE under the writer (unique)
-  /// lock with a fresh epoch. Safe to call concurrently with queries and
-  /// other updates. The Versioned variants return the epoch the update
-  /// published — the serialization point of the update, which the
-  /// interleaved stress suite replays against a serial oracle.
-  Result<uint64_t> InsertVersioned(const Record& record) {
-    return pipeline_.Insert(record);
-  }
-  Result<uint64_t> DeleteVersioned(RecordId id) {
-    return pipeline_.Delete(id);
-  }
-  Status Insert(const Record& record) {
-    return InsertVersioned(record).status();
-  }
-  Status Delete(RecordId id) { return DeleteVersioned(id).status(); }
-
-  /// Latest published epoch (the client's freshness reference).
-  uint64_t epoch() const { return pipeline_.epoch(); }
-
-  /// Accumulated update-pipeline costs (snapshot by value).
-  UpdateStats update_stats() const { return pipeline_.stats(); }
 
   /// Cache counters across all three verified-path caches.
   SaeCacheStats cache_stats() const {
@@ -194,23 +242,20 @@ class SaeSystem : private UpdatePolicy {
   sim::Channel& te_client_channel() { return te_client_; }
   const RecordCodec& codec() const { return owner_.codec(); }
 
-  /// Attached durability manager; nullptr when durability is off.
-  DurabilityManager* durability() { return pipeline_.durability(); }
-
-  /// Durability counters (zeroed struct when durability is off).
-  DurabilityStats durability_stats() const {
-    return pipeline_.durability_stats();
+  /// The full dataset in key order: what a full checkpoint persists, and
+  /// what a sharded deployment rebuilds its id -> key directory from.
+  Result<std::vector<Record>> CaptureRecords() const override {
+    return owner_.SortedDataset();
   }
 
-  /// Phase timings of the Recover() that built this system.
-  const RecoveryStats& recovery_stats() const {
-    return pipeline_.recovery_stats();
-  }
+ protected:
+  explicit SaeModel(const Options& options);
 
-  /// Blocks until every captured checkpoint is durable; returns the first
-  /// checkpoint failure since the last wait. Call without holding a query
-  /// open on this thread.
-  Status WaitForCheckpoints() { return pipeline_.WaitForCheckpoints(); }
+  /// One query, with the system's reader lock held: SP execution (the SP
+  /// may attack, per `attack` and `seed`), the TE token, and client
+  /// verification against the owner's published epoch.
+  Result<QueryOutcome> RunQuery(const dbms::QueryRequest& request,
+                                AttackMode attack, uint64_t seed);
 
  private:
   // UpdatePolicy: updates travel DO -> SP and DO -> TE with an epoch
@@ -227,17 +272,7 @@ class SaeSystem : private UpdatePolicy {
   uint64_t ShippedBytes() const override {
     return do_sp_.total_bytes() + do_te_.total_bytes();
   }
-  Result<std::vector<Record>> CaptureRecords() const override {
-    return owner_.SortedDataset();
-  }
   Result<crypto::Digest> DigestXor() const override;
-  /// Snapshots the pre-update SP state, so kReplayStaleRoot has a genuine
-  /// stale database to answer from.
-  void BeforeFirstUpdate() override;
-
-  /// Lazily materializes the stale SP from the captured records (readers
-  /// race through std::call_once). nullptr when no snapshot exists yet.
-  const ServiceProvider* StaleSp();
 
   Options options_;
   DataOwner owner_;
@@ -249,18 +284,6 @@ class SaeSystem : private UpdatePolicy {
   sim::Channel do_te_{"DO->TE"};
   sim::Channel sp_client_{"SP->Client"};
   sim::Channel te_client_{"TE->Client"};
-  std::atomic<uint64_t> attack_seed_{0xBADC0DE};
-
-  // Pre-update snapshot for the replay adversary.
-  bool stale_captured_ = false;          // written under unique lock
-  uint64_t stale_epoch_ = 0;
-  std::vector<Record> stale_records_;
-  std::once_flag stale_build_once_;
-  std::unique_ptr<ServiceProvider> stale_sp_;
-
-  // Last: destroyed first, joining the checkpoint thread before the
-  // parties it snapshots go away.
-  UpdatePipeline pipeline_;
 };
 
 struct TomSystemOptions {
@@ -303,22 +326,10 @@ struct TomCacheStats {
 };
 
 /// TOM: ADS-building DO + ADS-mirroring SP + VO-verifying client.
-class TomSystem : private UpdatePolicy {
+class TomModel : protected UpdatePolicy {
  public:
   using Options = TomSystemOptions;
-
-  explicit TomSystem(const Options& options = {});
-
-  /// With durability enabled, also opens the WAL and writes the epoch-1
-  /// baseline snapshot before returning.
-  Status Load(const std::vector<Record>& records) {
-    return pipeline_.Load(records);
-  }
-
-  /// Rebuilds a system from its durability directory after a crash (see
-  /// SaeSystem::Recover); the owner signs the recovered root once, at the
-  /// recovered epoch, after the WAL tail.
-  static Result<std::unique_ptr<TomSystem>> Recover(const Options& options);
+  static constexpr SnapshotState::Model kSnapshotModel = SnapshotState::kTom;
 
   struct QueryOutcome {
     dbms::QueryRequest request;     ///< the executed plan
@@ -328,42 +339,6 @@ class TomSystem : private UpdatePolicy {
     Status verification;
     QueryCosts costs;
   };
-
-  /// Routed through a batch-of-one QueryEngine, like SaeSystem::Query.
-  Result<QueryOutcome> Query(const dbms::QueryRequest& request,
-                             AttackMode attack = AttackMode::kNone);
-  /// Range-scan compatibility wrapper.
-  Result<QueryOutcome> Query(Key lo, Key hi,
-                             AttackMode attack = AttackMode::kNone) {
-    return Query(dbms::QueryRequest::Scan(lo, hi), attack);
-  }
-
-  /// Thread-safe single-query operation (see SaeSystem::ExecuteQuery):
-  /// shared lock for the whole query; interleaves with updates.
-  Result<QueryOutcome> ExecuteQuery(const dbms::QueryRequest& request,
-                                    AttackMode attack = AttackMode::kNone);
-  /// Range-scan compatibility wrapper.
-  Result<QueryOutcome> ExecuteQuery(Key lo, Key hi,
-                                    AttackMode attack = AttackMode::kNone) {
-    return ExecuteQuery(dbms::QueryRequest::Scan(lo, hi), attack);
-  }
-
-  /// Updates flow DO -> SP together with a fresh epoch-stamped root
-  /// signature, under the writer lock; safe to interleave with queries.
-  Result<uint64_t> InsertVersioned(const Record& record) {
-    return pipeline_.Insert(record);
-  }
-  Result<uint64_t> DeleteVersioned(RecordId id) {
-    return pipeline_.Delete(id);
-  }
-  Status Insert(const Record& record) {
-    return InsertVersioned(record).status();
-  }
-  Status Delete(RecordId id) { return DeleteVersioned(id).status(); }
-
-  uint64_t epoch() const { return pipeline_.epoch(); }
-
-  UpdateStats update_stats() const { return pipeline_.stats(); }
 
   /// Cache counters across the SP answer cache and both ADS node caches.
   TomCacheStats cache_stats() const {
@@ -379,22 +354,19 @@ class TomSystem : private UpdatePolicy {
   sim::Channel& sp_client_channel() { return sp_client_; }
   const RecordCodec& codec() const { return codec_; }
 
-  /// Attached durability manager; nullptr when durability is off.
-  DurabilityManager* durability() { return pipeline_.durability(); }
+  /// The full dataset in key order, read from the SP's heap (records
+  /// only, no VO): what a full checkpoint persists, and what a sharded
+  /// deployment rebuilds its id -> key directory from.
+  Result<std::vector<Record>> CaptureRecords() const override;
 
-  /// Durability counters (zeroed struct when durability is off).
-  DurabilityStats durability_stats() const {
-    return pipeline_.durability_stats();
-  }
+ protected:
+  explicit TomModel(const Options& options);
 
-  /// Phase timings of the Recover() that built this system.
-  const RecoveryStats& recovery_stats() const {
-    return pipeline_.recovery_stats();
-  }
-
-  /// Blocks until every captured checkpoint is durable; returns the first
-  /// checkpoint failure since the last wait.
-  Status WaitForCheckpoints() { return pipeline_.WaitForCheckpoints(); }
+  /// One query, with the system's reader lock held: SP execution and VO
+  /// (the SP may attack, per `attack` and `seed`), then client
+  /// verification against the owner's key and published epoch.
+  Result<QueryOutcome> RunQuery(const dbms::QueryRequest& request,
+                                AttackMode attack, uint64_t seed);
 
  private:
   // UpdatePolicy: updates travel DO -> SP with a re-signed root; the
@@ -409,13 +381,10 @@ class TomSystem : private UpdatePolicy {
   Result<size_t> ApplyDelete(RecordId id, bool replay) override;
   void AuthenticateRecovered() override;
   uint64_t ShippedBytes() const override { return do_sp_.total_bytes(); }
-  Result<std::vector<Record>> CaptureRecords() const override;
   Result<crypto::Digest> DigestXor() const override {
     return owner_.digest_xor();
   }
-  void BeforeFirstUpdate() override;
 
-  const TomServiceProvider* StaleSp();
   /// Builds the owner's and the SP's ADS over `sorted` at `epoch`, both
   /// unsigned.
   Status LoadParties(const std::vector<Record>& sorted, uint64_t epoch);
@@ -431,18 +400,10 @@ class TomSystem : private UpdatePolicy {
   mutable TomClientMemo client_memo_;
   sim::Channel do_sp_{"DO->SP"};
   sim::Channel sp_client_{"SP->Client"};
-  std::atomic<uint64_t> attack_seed_{0xBADC0DE};
-
-  bool stale_captured_ = false;
-  uint64_t stale_epoch_ = 0;
-  crypto::RsaSignature stale_signature_;
-  std::vector<Record> stale_records_;
-  std::once_flag stale_build_once_;
-  std::unique_ptr<TomServiceProvider> stale_sp_;
-
-  // Last: destroyed first (see SaeSystem).
-  UpdatePipeline pipeline_;
 };
+
+using SaeSystem = System<SaeModel>;
+using TomSystem = System<TomModel>;
 
 }  // namespace sae::core
 

@@ -190,21 +190,28 @@ Status TomServiceProvider::ApplyDelete(RecordId id,
   return Status::OK();
 }
 
-Result<TomServiceProvider::QueryResponse> TomServiceProvider::ExecuteRange(
-    Key lo, Key hi) const {
-  QueryResponse response;
-
-  // Traversal 1: locate and fetch the result records (each dataset page
-  // fetched once per contiguous run).
+Result<std::vector<Record>> TomServiceProvider::ReadRange(Key lo,
+                                                          Key hi) const {
+  // Locate and fetch the records (each dataset page fetched once per
+  // contiguous run).
   std::vector<mbtree::MbEntry> postings;
   SAE_RETURN_NOT_OK(mb_->RangeSearch(lo, hi, &postings));
   std::vector<storage::Rid> rids;
   rids.reserve(postings.size());
   for (const auto& posting : postings) rids.push_back(posting.rid);
-  response.results.reserve(rids.size());
+  std::vector<Record> records;
+  records.reserve(rids.size());
   SAE_RETURN_NOT_OK(heap_.GetMany(rids, [&](size_t, const uint8_t* data) {
-    response.results.push_back(codec_.Deserialize(data));
+    records.push_back(codec_.Deserialize(data));
   }));
+  return records;
+}
+
+Result<TomServiceProvider::QueryResponse> TomServiceProvider::ExecuteRange(
+    Key lo, Key hi) const {
+  // Traversal 1: the result records.
+  QueryResponse response;
+  SAE_ASSIGN_OR_RETURN(response.results, ReadRange(lo, hi));
 
   // Traversal 2: build the VO; boundary records come from the dataset file.
   auto fetch = [this](storage::Rid rid) -> Result<std::vector<uint8_t>> {

@@ -151,6 +151,10 @@ class TomServiceProvider {
   /// call from many threads concurrently (no concurrent updates).
   Result<QueryResponse> ExecuteRange(Key lo, Key hi) const;
 
+  /// The records of [lo, hi] in key order, without a VO: ExecuteRange's
+  /// first traversal alone (checkpoint capture reads the dataset this way).
+  Result<std::vector<Record>> ReadRange(Key lo, Key hi) const;
+
   /// An executed query plan: claimed answer, witness records (what the VO
   /// authenticates), and the VO over the underlying range.
   struct PlanResponse {

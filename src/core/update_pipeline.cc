@@ -178,12 +178,6 @@ Status UpdatePipeline::CheckpointIfDueLocked() {
 
 Result<uint64_t> UpdatePipeline::Run(WalUpdate update) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  // Adversary staging (a one-time O(n) scan) happens before the stopwatch
-  // so the reported update latency measures the pipeline.
-  if (!first_update_seen_) {
-    first_update_seen_ = true;
-    policy_->BeforeFirstUpdate();
-  }
   sim::Stopwatch watch;
   auto fail = [&](Status st) -> Result<uint64_t> {
     ++stats_.failed;

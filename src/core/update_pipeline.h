@@ -100,8 +100,6 @@ class UpdatePolicy {
   /// XOR of the digests of every current record — what snapshots persist
   /// and recovery checks.
   virtual Result<crypto::Digest> DigestXor() const = 0;
-  /// Runs once, right before the first update ever is validated.
-  virtual void BeforeFirstUpdate() = 0;
 
  protected:
   // Never deleted through this base: a system implements its own policy.
@@ -185,7 +183,6 @@ class UpdatePipeline {
   std::atomic<uint64_t> published_epoch_{0};
   UpdateStats stats_;
   RecoveryStats recovery_stats_;  // written once, by Recover
-  bool first_update_seen_ = false;
 
   // Group-commit state, written under the unique lock (see the header
   // comment). staged_presence_ maps id -> (present, staged epoch).

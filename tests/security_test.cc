@@ -8,6 +8,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 
 #include "core/client.h"
 #include "core/system.h"
@@ -430,6 +431,49 @@ std::vector<core::Record> MatrixDataset(size_t n) {
   return out;
 }
 
+// --- genuine old-state replays
+//
+// The freshness modes claim an old epoch over the live state. A genuine
+// replay serves a real old state instead: a never-updated twin, built from
+// the same records with the same options (under TOM the same rsa_seed,
+// hence the same owner key), answers at epoch 1 while the live system has
+// moved on. Its answer is consistent in itself and verifies for its own
+// epoch; the unmodified client, told the live epoch, must report it stale,
+// not corrupt.
+
+template <class System>
+std::unique_ptr<System> StaleTwin(const typename System::Options& options,
+                                  const std::vector<core::Record>& records) {
+  auto twin = std::make_unique<System>(options);
+  SAE_CHECK_OK(twin->Load(records));
+  return twin;
+}
+
+core::SaeSystem::Options SaeMatrixOptions(crypto::HashScheme scheme) {
+  core::SaeSystem::Options options;
+  options.record_size = kRecSize;
+  options.scheme = scheme;
+  return options;
+}
+
+core::TomSystem::Options TomMatrixOptions(crypto::HashScheme scheme) {
+  core::TomSystem::Options options;
+  options.record_size = kRecSize;
+  options.scheme = scheme;
+  options.rsa_modulus_bits = 512;  // fast for tests
+  return options;
+}
+
+// Two updates inside the replayed range [100, 2500]: epoch 1 -> 3, and the
+// live answer no longer equals the twin's.
+template <class System>
+void AdvanceLive(System* live) {
+  storage::RecordCodec codec(kRecSize);
+  ASSERT_TRUE(live->Insert(codec.MakeRecord(9000, 1234)).ok());
+  ASSERT_TRUE(live->Delete(20).ok());
+  ASSERT_EQ(live->epoch(), 3u);
+}
+
 class FreshnessMatrixTest
     : public ::testing::TestWithParam<crypto::HashScheme> {};
 
@@ -440,7 +484,8 @@ TEST_P(FreshnessMatrixTest, SaeRejectsBothFreshnessAttacks) {
   core::SaeSystem system(options);
   SAE_CHECK_OK(system.Load(MatrixDataset(300)));
 
-  // Advance the epoch so a genuine pre-update snapshot exists.
+  // Advance the epoch past the load (the twin tests below replay a
+  // genuine epoch-1 state).
   storage::RecordCodec codec(kRecSize);
   ASSERT_TRUE(system.Insert(codec.MakeRecord(9000, 1234)).ok());
   ASSERT_TRUE(system.Delete(5).ok());
@@ -517,9 +562,130 @@ TEST_P(FreshnessMatrixTest, FreshnessAttacksRejectedEvenWithoutUpdates) {
   }
 }
 
+TEST_P(FreshnessMatrixTest, SaeTwinReplayIsStaleNotCorrupt) {
+  const core::SaeSystem::Options options = SaeMatrixOptions(GetParam());
+  const std::vector<core::Record> records = MatrixDataset(300);
+  core::SaeSystem live(options);
+  SAE_CHECK_OK(live.Load(records));
+  auto twin = StaleTwin<core::SaeSystem>(options, records);
+  AdvanceLive(&live);
+  const dbms::QueryRequest request = dbms::QueryRequest::Scan(100, 2500);
+
+  auto replay = twin->Query(request);
+  ASSERT_TRUE(replay.ok());
+  const core::SaeSystem::QueryOutcome& old = replay.value();
+  EXPECT_TRUE(old.verification.ok()) << old.verification.ToString();
+  EXPECT_EQ(old.claimed_epoch, 1u);
+  EXPECT_EQ(old.vt.epoch, 1u);
+  auto fresh = live.Query(request);
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE(fresh.value().verification.ok());
+  EXPECT_NE(old.results, fresh.value().results);
+
+  Status st = core::Client::VerifyAnswer(
+      request, old.answer, old.results, old.vt, old.claimed_epoch,
+      live.epoch(), live.codec(), GetParam());
+  EXPECT_EQ(st.code(), StatusCode::kStaleEpoch) << st.ToString();
+}
+
+TEST_P(FreshnessMatrixTest, TomTwinReplayIsStaleNotCorrupt) {
+  const core::TomSystem::Options options = TomMatrixOptions(GetParam());
+  const std::vector<core::Record> records = MatrixDataset(300);
+  core::TomSystem live(options);
+  SAE_CHECK_OK(live.Load(records));
+  auto twin = StaleTwin<core::TomSystem>(options, records);
+  AdvanceLive(&live);
+  const dbms::QueryRequest request = dbms::QueryRequest::Scan(100, 2500);
+  const crypto::RsaPublicKey key = live.owner().public_key();
+
+  auto replay = twin->Query(request);
+  ASSERT_TRUE(replay.ok());
+  const core::TomSystem::QueryOutcome& old = replay.value();
+  EXPECT_TRUE(old.verification.ok()) << old.verification.ToString();
+  EXPECT_EQ(old.vo.epoch, 1u);
+  auto fresh = live.Query(request);
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE(fresh.value().verification.ok());
+  EXPECT_NE(old.results, fresh.value().results);
+
+  // The twin's old answer verifies under the live owner's key for its own
+  // epoch, and is stale against the live one.
+  EXPECT_TRUE(core::TomClient::VerifyAnswer(request, old.answer, old.results,
+                                            old.vo, key, live.codec(),
+                                            GetParam(), 1)
+                  .ok());
+  Status st = core::TomClient::VerifyAnswer(request, old.answer, old.results,
+                                            old.vo, key, live.codec(),
+                                            GetParam(), live.epoch());
+  EXPECT_EQ(st.code(), StatusCode::kStaleEpoch) << st.ToString();
+}
+
+// TOM's analog of a replayed TE token: the twin's genuine epoch-1
+// signature presented with the live results and VO.
+TEST_P(FreshnessMatrixTest, TomTwinSignatureOverLiveResultsIsStale) {
+  const core::TomSystem::Options options = TomMatrixOptions(GetParam());
+  const std::vector<core::Record> records = MatrixDataset(300);
+  core::TomSystem live(options);
+  SAE_CHECK_OK(live.Load(records));
+  auto twin = StaleTwin<core::TomSystem>(options, records);
+  AdvanceLive(&live);
+  const dbms::QueryRequest request = dbms::QueryRequest::Scan(100, 2500);
+  const crypto::RsaPublicKey key = live.owner().public_key();
+
+  auto fresh = live.Query(request);
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE(fresh.value().verification.ok());
+  mbtree::VerificationObject vo = fresh.value().vo;
+  vo.signature = twin->owner().signature();
+  vo.epoch = twin->epoch();
+
+  Status st = core::TomClient::VerifyAnswer(
+      request, fresh.value().answer, fresh.value().results, vo, key,
+      live.codec(), GetParam(), live.epoch());
+  EXPECT_EQ(st.code(), StatusCode::kStaleEpoch) << st.ToString();
+  // The old signature does not sign the live root: had the client not
+  // known the live epoch, it would still reject the pairing as corrupt.
+  st = core::TomClient::VerifyAnswer(request, fresh.value().answer,
+                                     fresh.value().results, vo, key,
+                                     live.codec(), GetParam(), 1);
+  EXPECT_EQ(st.code(), StatusCode::kVerificationFailure) << st.ToString();
+}
+
 INSTANTIATE_TEST_SUITE_P(BothHashSchemes, FreshnessMatrixTest,
                          ::testing::Values(crypto::HashScheme::kSha1,
                                            crypto::HashScheme::kSha256Trunc));
+
+// No update stages an adversary: the first update costs the SP what the
+// second does, within the pages a split may add. (A system once copied its
+// whole dataset on its first update, to serve stale replays from.)
+template <class System>
+void ExpectFirstUpdateCostsLikeSecond(const typename System::Options& options) {
+  System system(options);
+  SAE_CHECK_OK(system.Load(MatrixDataset(5000)));
+  auto sp_accesses = [&] {
+    return system.sp().index_pool_stats().accesses +
+           system.sp().heap_pool_stats().accesses;
+  };
+  storage::RecordCodec codec(kRecSize);
+  uint64_t before = sp_accesses();
+  ASSERT_TRUE(system.Insert(codec.MakeRecord(90001, 25005)).ok());
+  const uint64_t first = sp_accesses() - before;
+  before = sp_accesses();
+  ASSERT_TRUE(system.Insert(codec.MakeRecord(90002, 25015)).ok());
+  const uint64_t second = sp_accesses() - before;
+  EXPECT_LE(first, second + 4) << "first " << first << ", second " << second;
+  EXPECT_LE(second, first + 4) << "first " << first << ", second " << second;
+}
+
+TEST(FirstUpdateTest, SaeFirstUpdateReadsNoExtraPages) {
+  ExpectFirstUpdateCostsLikeSecond<core::SaeSystem>(
+      SaeMatrixOptions(crypto::HashScheme::kSha1));
+}
+
+TEST(FirstUpdateTest, TomFirstUpdateReadsNoExtraPages) {
+  ExpectFirstUpdateCostsLikeSecond<core::TomSystem>(
+      TomMatrixOptions(crypto::HashScheme::kSha1));
+}
 
 // --- aggregate adversarial matrix -------------------------------------------------
 //
@@ -708,8 +874,8 @@ TEST_P(CacheAdversaryTest, SaeStaleCacheReplayRejected) {
   storage::RecordCodec codec(kRecSize);
   ASSERT_TRUE(system.Insert(codec.MakeRecord(9000, 1234)).ok());
 
-  // Twice: the second replay is served from the stale SP's now-warm answer
-  // cache — a literal cached blob keyed to the dead epoch.
+  // Twice: each replay warms the answer cache and serves from it (the
+  // twin test below replays a cache entry keyed to a genuinely dead epoch).
   for (int i = 0; i < 2; ++i) {
     auto outcome =
         system.Query(100, 2500, core::AttackMode::kStaleCacheReplay);
@@ -831,6 +997,55 @@ TEST_P(CacheAdversaryTest, PoisonWithoutCacheDoesNotPersist) {
   auto honest = system.Query(request);
   ASSERT_TRUE(honest.ok());
   EXPECT_TRUE(honest.value().verification.ok());
+}
+
+// The twin serves its second identical query from its answer cache: the
+// replayed bytes are a literal cache entry keyed to the dead epoch.
+TEST_P(CacheAdversaryTest, SaeTwinCacheReplayIsStale) {
+  const core::SaeSystem::Options options = SaeMatrixOptions(GetParam());
+  const std::vector<core::Record> records = MatrixDataset(300);
+  core::SaeSystem live(options);
+  SAE_CHECK_OK(live.Load(records));
+  auto twin = StaleTwin<core::SaeSystem>(options, records);
+  AdvanceLive(&live);
+  const dbms::QueryRequest request = dbms::QueryRequest::Scan(100, 2500);
+
+  for (int i = 0; i < 2; ++i) {
+    const uint64_t hits = twin->cache_stats().sp_answer.hits;
+    auto replay = twin->Query(request);
+    ASSERT_TRUE(replay.ok());
+    const core::SaeSystem::QueryOutcome& old = replay.value();
+    EXPECT_EQ(twin->cache_stats().sp_answer.hits - hits, uint64_t(i));
+    EXPECT_TRUE(old.verification.ok()) << old.verification.ToString();
+    Status st = core::Client::VerifyAnswer(
+        request, old.answer, old.results, old.vt, old.claimed_epoch,
+        live.epoch(), live.codec(), GetParam());
+    EXPECT_EQ(st.code(), StatusCode::kStaleEpoch) << st.ToString();
+  }
+}
+
+TEST_P(CacheAdversaryTest, TomTwinCacheReplayIsStale) {
+  const core::TomSystem::Options options = TomMatrixOptions(GetParam());
+  const std::vector<core::Record> records = MatrixDataset(300);
+  core::TomSystem live(options);
+  SAE_CHECK_OK(live.Load(records));
+  auto twin = StaleTwin<core::TomSystem>(options, records);
+  AdvanceLive(&live);
+  const dbms::QueryRequest request = dbms::QueryRequest::Scan(100, 2500);
+  const crypto::RsaPublicKey key = live.owner().public_key();
+
+  for (int i = 0; i < 2; ++i) {
+    const uint64_t hits = twin->cache_stats().sp_answer.hits;
+    auto replay = twin->Query(request);
+    ASSERT_TRUE(replay.ok());
+    const core::TomSystem::QueryOutcome& old = replay.value();
+    EXPECT_EQ(twin->cache_stats().sp_answer.hits - hits, uint64_t(i));
+    EXPECT_TRUE(old.verification.ok()) << old.verification.ToString();
+    Status st = core::TomClient::VerifyAnswer(
+        request, old.answer, old.results, old.vo, key, live.codec(),
+        GetParam(), live.epoch());
+    EXPECT_EQ(st.code(), StatusCode::kStaleEpoch) << st.ToString();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(BothHashSchemes, CacheAdversaryTest,

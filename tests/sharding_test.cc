@@ -818,14 +818,14 @@ TEST(ShardedEngineTest, BatchesRunAgainstShardedSystems) {
     batch.push_back(BatchQuery{lo, lo + 600, AttackMode::kNone});
   }
   QueryEngine engine(core::QueryEngineOptions{3});
-  auto run = engine.RunBatch(&sharded, batch);
+  auto run = engine.Run(&sharded, batch);
   EXPECT_EQ(run.stats.accepted, batch.size());
   EXPECT_EQ(run.stats.rejected + run.stats.failed, 0u);
 
   // A batch-wide attack mode applies to every shard (unsharded semantics).
   std::vector<BatchQuery> bad = batch;
   for (auto& q : bad) q.attack = AttackMode::kTamperPayload;
-  auto rejected = engine.RunBatch(&sharded, bad);
+  auto rejected = engine.Run(&sharded, bad);
   EXPECT_EQ(rejected.stats.rejected, bad.size());
 }
 
@@ -846,7 +846,7 @@ TEST(ShardedEngineTest, MixedBatchesRouteUpdatesAcrossShards) {
     }
   }
   QueryEngine engine(core::QueryEngineOptions{4});
-  core::MixedStats stats = engine.RunMixedBatch(&sharded, ops);
+  core::MixedStats stats = engine.RunMixed(&sharded, ops);
   EXPECT_EQ(stats.updates, 10u);
   EXPECT_EQ(stats.update_failures, 0u);
   EXPECT_EQ(stats.accepted, stats.queries);
